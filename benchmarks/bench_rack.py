@@ -1,11 +1,13 @@
-"""Rack-scale simulation throughput and balancer overhead.
+"""Rack-scale simulation throughput, balancer overhead, and DARC
+behind an oracle-view balancer.
 
-Two questions: how fast does a 32-server rack (256 simulated cores,
-two-level scheduling, per-replica recorders) simulate, and what does
-each balancer's pick() cost per routing decision?  Throughput is
-reported as simulator events/sec so the bench gate catches rack-path
-slowdowns; the microbench isolates the balancer from the servers by
-routing against an idle rack.
+Three questions: how fast does a 32-server rack (256 simulated cores,
+two-level scheduling, per-replica recorders) simulate, what does each
+balancer's pick() cost per routing decision, and does DARC's
+single-machine win survive a balancer that sees every replica's true
+load?  Throughput is reported as simulator events/sec so the bench gate
+catches rack-path slowdowns; the microbench isolates the balancer from
+the servers by routing against an idle rack.
 """
 
 import time
@@ -22,7 +24,7 @@ from repro.server.config import ServerConfig
 from repro.server.server import Server
 from repro.sim.engine import EventLoop
 from repro.sim.randomness import RngRegistry
-from repro.systems.persephone import PersephoneSystem
+from repro.systems.persephone import PersephoneCfcfsSystem, PersephoneSystem
 from repro.workload.presets import high_bimodal
 from repro.workload.request import Request
 
@@ -31,6 +33,12 @@ N_WORKERS = 8
 UTILIZATION = 0.70
 STALENESS_US = 50.0
 BALANCERS = ("pow2", "jsq-stale", "sed", "type-affinity", "session")
+
+#: Oracle-view case: 4 testbed-sized replicas at the paper's 80% load.
+ORACLE_SERVERS = 4
+ORACLE_WORKERS = 14
+ORACLE_UTILIZATION = 0.80
+ORACLE_BALANCERS = ("jsq-stale", "type-affinity")
 
 
 def test_rack_throughput(benchmark, bench_n_requests):
@@ -107,3 +115,46 @@ def test_balancer_pick_overhead(benchmark, bench_n_requests):
     # must stay in the thousands-per-second range; below that the
     # balancer, not the servers, dominates rack simulation time.
     assert min(rates.values()) > 2_000
+
+
+def test_oracle_view_darc_vs_cfcfs(benchmark, bench_n_requests):
+    """c-FCFS vs DARC backends behind ``jsq-stale`` and ``type-affinity``
+    with oracle views (``staleness_us=0``): the balancer reads every
+    replica's true load, so any tail left is the servers' own."""
+    systems = (
+        PersephoneCfcfsSystem(n_workers=ORACLE_WORKERS, name="c-FCFS"),
+        PersephoneSystem(n_workers=ORACLE_WORKERS, oracle=True, name="DARC"),
+    )
+
+    def run():
+        return {
+            (balancer, system.name): run_rack(
+                system,
+                high_bimodal(),
+                balancer=balancer,
+                n_servers=ORACLE_SERVERS,
+                utilization=ORACLE_UTILIZATION,
+                n_requests=bench_n_requests,
+                seed=1,
+                staleness_us=0.0,
+            )
+            for balancer in ORACLE_BALANCERS
+            for system in systems
+        }
+
+    results = run_single(benchmark, run)
+    short = {key: r.summary.per_type[0].tail_latency for key, r in results.items()}
+    print()
+    print(f"oracle views ({ORACLE_SERVERS} x {ORACLE_WORKERS} cores) "
+          f"@ {ORACLE_UTILIZATION:.0%}:")
+    for (balancer, system), result in results.items():
+        print(f"  {balancer:>13} {system:>6}: short p99.9 = "
+              f"{short[balancer, system]:8.1f}us  overall slowdown = "
+              f"{result.summary.overall_tail_slowdown:6.1f}x  "
+              f"imbalance = {result.load_imbalance():.2f}")
+        benchmark.extra_info[f"{balancer}_{system}_short_p999_us"] = short[balancer, system]
+
+    # DARC's single-machine win survives either balancer, even one with
+    # perfect information.
+    for balancer in ORACLE_BALANCERS:
+        assert short[balancer, "DARC"] < short[balancer, "c-FCFS"] / 3

@@ -13,6 +13,7 @@ optionally archives the underlying data as CSV::
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -55,143 +56,48 @@ def _tables_run(n, seed, sanitize, trace_dir, metrics_dir, seeds, forensics_dir)
     return None
 
 
+def _run_driver(driver, n, seed, sanitize, trace_dir, metrics_dir, seeds, forensics_dir):
+    """Run one experiment driver module with the CLI's settings.
+
+    Figure 7 runs fixed-length phases, so it takes no request count.
+    """
+    sized = {} if driver is figure7 else {"n_requests": n}
+    return driver.run(
+        seed=seed,
+        sanitize=sanitize,
+        trace_dir=trace_dir,
+        metrics_dir=metrics_dir,
+        seeds=seeds,
+        forensics_dir=forensics_dir,
+        **sized,
+    )
+
+
+def _render(result):
+    return result.render()
+
+
 #: name -> (run(n, seed, sanitize, trace_dir, metrics_dir, seeds,
 #: forensics_dir) -> result, render(result) -> str).  ``seeds`` is None
 #: for the legacy single-seed path or a sequence for replicated
 #: (CI-table) runs.
 EXPERIMENTS: Dict[str, Tuple[Callable, Callable]] = {
-    "chaos": (
-        lambda n, seed, sanitize, trace_dir, metrics_dir, seeds, forensics_dir: chaos.run(
-            n_requests=n,
-            seed=seed,
-            sanitize=sanitize,
-            trace_dir=trace_dir,
-            metrics_dir=metrics_dir,
-            seeds=seeds,
-            forensics_dir=forensics_dir,
-        ),
-        chaos.render,
-    ),
-    "figure1": (
-        lambda n, seed, sanitize, trace_dir, metrics_dir, seeds, forensics_dir: figure1.run(
-            n_requests=n,
-            seed=seed,
-            sanitize=sanitize,
-            trace_dir=trace_dir,
-            metrics_dir=metrics_dir,
-            seeds=seeds,
-            forensics_dir=forensics_dir,
-        ),
-        figure1.render,
-    ),
-    "figure3": (
-        lambda n, seed, sanitize, trace_dir, metrics_dir, seeds, forensics_dir: figure3.run(
-            n_requests=n,
-            seed=seed,
-            sanitize=sanitize,
-            trace_dir=trace_dir,
-            metrics_dir=metrics_dir,
-            seeds=seeds,
-            forensics_dir=forensics_dir,
-        ),
-        figure3.render,
-    ),
-    "figure4": (
-        lambda n, seed, sanitize, trace_dir, metrics_dir, seeds, forensics_dir: figure4.run(
-            n_requests=n,
-            seed=seed,
-            sanitize=sanitize,
-            trace_dir=trace_dir,
-            metrics_dir=metrics_dir,
-            seeds=seeds,
-            forensics_dir=forensics_dir,
-        ),
-        lambda r: r.render(),
-    ),
-    "figure5": (
-        lambda n, seed, sanitize, trace_dir, metrics_dir, seeds, forensics_dir: figure5.run(
-            n_requests=n,
-            seed=seed,
-            sanitize=sanitize,
-            trace_dir=trace_dir,
-            metrics_dir=metrics_dir,
-            seeds=seeds,
-            forensics_dir=forensics_dir,
-        ),
-        figure5.render,
-    ),
-    "figure6": (
-        lambda n, seed, sanitize, trace_dir, metrics_dir, seeds, forensics_dir: figure6.run(
-            n_requests=n,
-            seed=seed,
-            sanitize=sanitize,
-            trace_dir=trace_dir,
-            metrics_dir=metrics_dir,
-            seeds=seeds,
-            forensics_dir=forensics_dir,
-        ),
-        figure6.render,
-    ),
-    "figure7": (
-        lambda n, seed, sanitize, trace_dir, metrics_dir, seeds, forensics_dir: figure7.run(
-            seed=seed, sanitize=sanitize, trace_dir=trace_dir,
-            metrics_dir=metrics_dir, seeds=seeds, forensics_dir=forensics_dir,
-        ),
-        lambda r: r.render(),
-    ),
-    "figure8": (
-        lambda n, seed, sanitize, trace_dir, metrics_dir, seeds, forensics_dir: figure8.run(
-            n_requests=n,
-            seed=seed,
-            sanitize=sanitize,
-            trace_dir=trace_dir,
-            metrics_dir=metrics_dir,
-            seeds=seeds,
-            forensics_dir=forensics_dir,
-        ),
-        figure8.render,
-    ),
-    "figure9": (
-        lambda n, seed, sanitize, trace_dir, metrics_dir, seeds, forensics_dir: figure9.run(
-            n_requests=n,
-            seed=seed,
-            sanitize=sanitize,
-            trace_dir=trace_dir,
-            metrics_dir=metrics_dir,
-            seeds=seeds,
-            forensics_dir=forensics_dir,
-        ),
-        figure9.render,
-    ),
-    "figure10": (
-        lambda n, seed, sanitize, trace_dir, metrics_dir, seeds, forensics_dir: figure10.run(
-            n_requests=n,
-            seed=seed,
-            sanitize=sanitize,
-            trace_dir=trace_dir,
-            metrics_dir=metrics_dir,
-            seeds=seeds,
-            forensics_dir=forensics_dir,
-        ),
-        figure10.render,
-    ),
-    "rack": (
-        lambda n, seed, sanitize, trace_dir, metrics_dir, seeds, forensics_dir: rack.run(
-            n_requests=n,
-            seed=seed,
-            sanitize=sanitize,
-            trace_dir=trace_dir,
-            metrics_dir=metrics_dir,
-            seeds=seeds,
-            forensics_dir=forensics_dir,
-        ),
-        rack.render,
-    ),
-    "tables": (
-        _tables_run,
-        lambda r: tables.render_all(),
-    ),
+    name: (functools.partial(_run_driver, driver), render)
+    for name, driver, render in (
+        ("chaos", chaos, chaos.render),
+        ("figure1", figure1, figure1.render),
+        ("figure3", figure3, figure3.render),
+        ("figure4", figure4, _render),
+        ("figure5", figure5, figure5.render),
+        ("figure6", figure6, figure6.render),
+        ("figure7", figure7, _render),
+        ("figure8", figure8, figure8.render),
+        ("figure9", figure9, figure9.render),
+        ("figure10", figure10, figure10.render),
+        ("rack", rack, rack.render),
+    )
 }
+EXPERIMENTS["tables"] = (_tables_run, lambda r: tables.render_all())
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,4 +1,10 @@
-"""Cluster layer: replicated servers behind a load balancer."""
+"""Cluster layer: the :class:`~repro.cluster.balancer.Balancer` base.
+
+Rack balancers (:mod:`repro.rack.balancers`) extend it; the four
+reference policies here read server load directly (an oracle view).
+Multi-server runs go through :func:`repro.rack.rack.run_rack`, which
+takes a balancer factory as well as a catalogue name.
+"""
 
 from .balancer import (
     Balancer,
@@ -7,7 +13,6 @@ from .balancer import (
     RoundRobinBalancer,
     TypeAwareBalancer,
 )
-from .cluster import ClusterResult, run_cluster
 
 __all__ = [
     "Balancer",
@@ -15,6 +20,4 @@ __all__ = [
     "RoundRobinBalancer",
     "JoinShortestQueue",
     "TypeAwareBalancer",
-    "ClusterResult",
-    "run_cluster",
 ]

@@ -14,7 +14,6 @@ from .common import (
     RunResult,
     run_once,
     run_sweep,
-    run_trace,
 )
 from .results import FigureResult
 
@@ -31,7 +30,6 @@ __all__ = [
     "tables",
     "run_once",
     "run_sweep",
-    "run_trace",
     "RunResult",
     "FigureResult",
     "DEFAULT_N_REQUESTS",

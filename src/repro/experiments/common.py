@@ -1,9 +1,11 @@
 """Shared experiment machinery.
 
-:func:`run_once` assembles loop + server + generator for one (system,
+:func:`run_once` assembles loop + server + load source for one (system,
 workload, load) point, runs it to completion, and returns a
 :class:`RunResult` bundling the summary, utilization and the scheduler
-(for policy-specific introspection like DARC's reservation log).
+(for policy-specific introspection like DARC's reservation log).  It is
+the one single-server run path: steady Poisson load, a phased schedule
+(Fig. 7) or a recorded trace replay.
 
 Loads are expressed as *utilization* — a fraction of the workload's peak
 rate ``W / E[S]`` — which is how the paper's x-axes are scaled.
@@ -16,6 +18,7 @@ import re
 import warnings
 from typing import Any, Dict, List, Optional, Sequence
 
+from .. import observe
 from ..errors import ConfigurationError
 from ..metrics.recorder import Recorder
 from ..metrics.summary import RunSummary
@@ -24,8 +27,8 @@ from ..server.server import Server
 from ..sim.engine import EventLoop
 from ..sim.randomness import RngRegistry
 from ..systems.base import SystemModel
-from ..workload.arrivals import PoissonArrivals
-from ..workload.generator import OpenLoopGenerator
+from ..workload.generator import start_load
+from ..workload.phases import Phase
 from ..workload.spec import WorkloadSpec
 
 #: Default request count per load point — large enough for a stable
@@ -95,6 +98,8 @@ def run_once(
     warmup_frac: float = DEFAULT_WARMUP_FRAC,
     pct: float = 99.9,
     max_sim_time_us: Optional[float] = None,
+    phases: Optional[Sequence[Phase]] = None,
+    trace=None,
     sanitize: "bool | str" = False,
     tracer=None,
     trace_path: Optional[str] = None,
@@ -106,34 +111,25 @@ def run_once(
 ) -> RunResult:
     """Simulate one load point and summarize it.
 
-    The run generates exactly ``n_requests`` arrivals, then drains the
-    server (every generated request completes unless dropped by flow
-    control).  ``max_sim_time_us`` optionally caps the drain for badly
-    overloaded configurations.
+    Exactly one load source applies.  By default the run generates
+    exactly ``n_requests`` Poisson arrivals at ``utilization`` of the
+    server's peak, then drains the server (every generated request
+    completes unless dropped by flow control).  ``phases`` instead runs
+    a phased schedule (Fig. 7: each phase sets its own mix and load,
+    arrivals stop when the last phase ends; ``spec`` is the first
+    phase's), and a recorded arrival ``trace`` is replayed as is, with
+    the utilization derived from it — comparing systems on one trace
+    removes arrival-sampling noise from the comparison.
+    ``max_sim_time_us`` optionally caps the drain for badly overloaded
+    configurations.
 
-    ``sanitize=True`` attaches a
-    :class:`~repro.lint.sanitizer.SimSanitizer` that asserts simulation
-    invariants (time monotonicity, request conservation, worker
-    exclusivity, DARC reservation rules) after every event, raising
-    :class:`~repro.errors.SanitizerViolation` on the first breakage.
-    ``sanitize="shadow"`` additionally turns on the tie-break shadow
-    check: same-timestamp sibling events are detected and their
-    handlers' observable write sets compared, recording (never raising)
-    hazards in ``result.sanitizer.tiebreak_hazards``.
-
-    ``trace_path`` (or an explicit ``tracer``) turns on per-request span
-    tracing (:mod:`repro.trace`).  The tracer observes the run without
-    scheduling events or drawing randomness, so a traced run's measured
-    results are bit-identical to an untraced one; with ``trace_path``
-    the full trace document (Perfetto-loadable JSON) is written there,
-    with ``trace_meta`` merged into its metadata.
-
-    ``metrics_path`` (or an explicit ``telemetry`` probe) turns on the
-    virtual-time metrics plane (:mod:`repro.telemetry`); like the
-    tracer, the probe observes without perturbing, and with
-    ``metrics_path`` (extensionless base) the Prometheus text, JSONL
-    timeline and HTML dashboard are written as ``.prom``/``.jsonl``/
-    ``.html`` siblings.  ``profiler`` attaches a
+    ``sanitize``, ``tracer``/``trace_path``/``trace_meta`` and
+    ``telemetry``/``metrics_path``/``metrics_meta`` attach the pure
+    observers described in :mod:`repro.observe`: the invariant
+    sanitizer (``"shadow"`` adds the tie-break shadow check, whose
+    hazards land in ``result.sanitizer.tiebreak_hazards``), per-request
+    span tracing and the virtual-time metrics plane.  Observed runs are
+    bit-identical to bare ones.  ``profiler`` attaches a
     :class:`~repro.telemetry.profiler.SelfProfiler` that attributes the
     simulator's own wall-clock cost per handler (caller starts/stops
     it).
@@ -142,14 +138,8 @@ def run_once(
         raise ConfigurationError(f"utilization must be > 0, got {utilization}")
     if n_requests < 1:
         raise ConfigurationError(f"n_requests must be >= 1, got {n_requests}")
-    if trace_path is not None and tracer is None:
-        from ..trace import Tracer
-
-        tracer = Tracer()
-    if metrics_path is not None and telemetry is None:
-        from ..telemetry import TelemetryProbe
-
-        telemetry = TelemetryProbe()
+    if trace is not None and phases is not None:
+        raise ConfigurationError("pass either trace or phases, not both")
 
     rngs = RngRegistry(seed=seed)
     loop = EventLoop()
@@ -157,31 +147,30 @@ def run_once(
     config = system.make_config()
     recorder = Recorder()
     server = Server(loop, scheduler, config=config, recorder=recorder)
-    sanitizer = None
-    if sanitize:
-        from ..lint.sanitizer import SimSanitizer
-
-        sanitizer = SimSanitizer(shadow_tiebreaks=(sanitize == "shadow"))
-        sanitizer.attach(loop, server)
-    if tracer is not None:
-        tracer.install(loop, server)
-    if telemetry is not None:
-        telemetry.install(loop, server)
+    observers = observe.attach(
+        loop,
+        server,
+        sanitize=sanitize,
+        tracer=tracer,
+        trace_path=trace_path,
+        trace_meta=trace_meta,
+        telemetry=telemetry,
+        metrics_path=metrics_path,
+        metrics_meta=metrics_meta,
+    )
     if profiler is not None:
         loop.attach_profiler(profiler)
 
-    rate = utilization * spec.peak_load(config.n_workers)
-    generator = OpenLoopGenerator(
-        loop,
-        spec,
-        PoissonArrivals(rate),
-        server.ingress,
-        type_rng=rngs.stream("types"),
-        service_rng=rngs.stream("service"),
-        arrival_rng=rngs.stream("arrivals"),
-        limit=n_requests,
+    peak = spec.peak_load(config.n_workers)
+    if trace is not None:
+        rate = trace.offered_rate()
+        utilization = rate / peak
+    else:
+        rate = utilization * peak
+    start_load(
+        loop, spec, server.ingress, rngs, rate, n_requests, config.n_workers,
+        phases=phases, trace=trace,
     )
-    generator.start()
     loop.run(until=max_sim_time_us)
 
     summary = RunSummary(
@@ -192,34 +181,15 @@ def run_once(
         pct=pct,
     )
     util_report = server.utilization()
-    if tracer is not None and trace_path is not None:
-        from ..trace.export import write_trace
-
-        meta: Dict[str, Any] = {
-            "system": system.name,
-            "workload": spec.name,
-            "utilization": utilization,
-            "n_requests": n_requests,
-            "seed": seed,
-        }
-        if trace_meta:
-            meta.update(trace_meta)
-        write_trace(trace_path, tracer, recorder=recorder, meta=meta)
-    if telemetry is not None and metrics_path is not None:
-        from ..telemetry.export import write_metrics
-
-        meta = {
-            "system": system.name,
-            "workload": spec.name,
-            "utilization": utilization,
-            "n_requests": n_requests,
-            "seed": seed,
-        }
-        if metrics_meta:
-            meta.update(metrics_meta)
-        write_metrics(metrics_path, telemetry, recorder=recorder, meta=meta)
-    elif telemetry is not None:
-        telemetry.finalize()
+    meta: Dict[str, Any] = {
+        "system": system.name,
+        "workload": spec.name,
+        "utilization": utilization,
+    }
+    if phases is None and trace is None:
+        meta["n_requests"] = n_requests
+    meta["seed"] = seed
+    observers.export(recorder, meta)
     return RunResult(
         system.name,
         spec,
@@ -229,58 +199,11 @@ def run_once(
         util_report,
         scheduler,
         server,
-        tracer=tracer,
+        tracer=observers.tracer,
         trace_path=trace_path,
-        sanitizer=sanitizer,
-        telemetry=telemetry,
+        sanitizer=observers.sanitizer,
+        telemetry=observers.telemetry,
         metrics_path=metrics_path,
-    )
-
-
-def run_trace(
-    system: SystemModel,
-    spec: WorkloadSpec,
-    trace,
-    warmup_frac: float = DEFAULT_WARMUP_FRAC,
-    pct: float = 99.9,
-    seed: int = 1,
-) -> RunResult:
-    """Replay a recorded arrival trace through ``system``.
-
-    Comparing systems on the *same* trace removes arrival-sampling noise
-    from the comparison (common random numbers): any difference in the
-    summaries is purely scheduling.  ``spec`` supplies type names and
-    the peak-load normalization; the trace supplies every arrival.
-    """
-    from ..workload.trace import TraceReplayer
-
-    rngs = RngRegistry(seed=seed)
-    loop = EventLoop()
-    scheduler = system.make_scheduler(spec, rngs)
-    config = system.make_config()
-    recorder = Recorder()
-    server = Server(loop, scheduler, config=config, recorder=recorder)
-    replayer = TraceReplayer(loop, trace, server.ingress)
-    replayer.start()
-    loop.run()
-    offered_rate = trace.offered_rate()
-    utilization = offered_rate / spec.peak_load(config.n_workers)
-    summary = RunSummary(
-        recorder,
-        duration_us=loop.now,
-        type_specs=spec.type_specs(),
-        warmup_frac=warmup_frac,
-        pct=pct,
-    )
-    return RunResult(
-        system.name,
-        spec,
-        utilization,
-        offered_rate,
-        summary,
-        server.utilization(),
-        scheduler,
-        server,
     )
 
 

@@ -26,22 +26,15 @@ import numpy as np
 
 from ..analysis.tables import render_series
 from ..sweep.stats import mean_ci
-from ..metrics.recorder import Recorder
 from ..metrics.summary import RunSummary
 from ..metrics.timeseries import AllocationTimeline, WindowedStats
-from ..server.config import ServerConfig
-from ..server.server import Server
-from ..sim.engine import EventLoop
-from ..sim.randomness import RngRegistry
 from ..sim.units import US_PER_MS
 from ..systems.base import SystemModel
 from ..systems.persephone import PersephoneCfcfsSystem, PersephoneSystem
-from ..workload.arrivals import PoissonArrivals
-from ..workload.generator import OpenLoopGenerator
-from ..workload.phases import Phase, PhaseSchedule
+from ..workload.phases import Phase
 from ..workload.spec import TypedClass, WorkloadSpec
 from ..workload.distributions import Fixed
-from .common import collect_forensics, metrics_target, trace_target
+from .common import collect_forensics, metrics_target, run_once, trace_target
 
 N_WORKERS = 14
 UTILIZATION = 0.80
@@ -128,80 +121,12 @@ class Figure7Result:
         return "\n\n".join(parts)
 
 
-def _run_system(
-    system: SystemModel,
-    phases: List[Phase],
-    seed: int,
-    window_us: float,
-    sanitize: bool = False,
-    trace_path: Optional[str] = None,
-    metrics_path: Optional[str] = None,
-) -> Tuple[Recorder, object, EventLoop]:
-    rngs = RngRegistry(seed=seed)
-    loop = EventLoop()
-    scheduler = system.make_scheduler(phases[0].spec, rngs)
-    recorder = Recorder()
-    server = Server(loop, scheduler, config=system.make_config(), recorder=recorder)
-    if sanitize:
-        from ..lint.sanitizer import SimSanitizer
-
-        SimSanitizer().attach(loop, server)
-    tracer = None
-    if trace_path is not None:
-        from ..trace import Tracer
-
-        tracer = Tracer()
-        tracer.install(loop, server)
-    telemetry = None
-    if metrics_path is not None:
-        from ..telemetry import TelemetryProbe
-
-        telemetry = TelemetryProbe()
-        telemetry.install(loop, server)
-    rate = UTILIZATION * phases[0].spec.peak_load(N_WORKERS)
-    generator = OpenLoopGenerator(
-        loop,
-        phases[0].spec,
-        PoissonArrivals(rate),
-        server.ingress,
-        type_rng=rngs.stream("types"),
-        service_rng=rngs.stream("service"),
-        arrival_rng=rngs.stream("arrivals"),
-        limit=None,
-    )
-    schedule = PhaseSchedule(loop, generator, phases, N_WORKERS)
-    total = schedule.total_duration_us
-    generator.start()
-    schedule.start()
-    loop.call_at(total, generator.stop)
-    loop.run()
-    if tracer is not None and trace_path is not None:
-        from ..trace.export import write_trace
-
-        write_trace(
-            trace_path,
-            tracer,
-            recorder=recorder,
-            meta={"experiment": "figure7", "system": system.name, "seed": seed},
-        )
-    if telemetry is not None:
-        from ..telemetry.export import write_metrics
-
-        write_metrics(
-            metrics_path,
-            telemetry,
-            recorder=recorder,
-            meta={"experiment": "figure7", "system": system.name, "seed": seed},
-        )
-    return recorder, scheduler, loop
-
-
 def run(
     phases: Optional[List[Phase]] = None,
     seed: int = 1,
     window_us: float = 10.0 * US_PER_MS,
     systems: Optional[List[SystemModel]] = None,
-    sanitize: bool = False,
+    sanitize: "bool | str" = False,
     trace_dir: Optional[str] = None,
     metrics_dir: Optional[str] = None,
     seeds: Optional[Sequence[int]] = None,
@@ -245,18 +170,27 @@ def run(
                 )
             first = index == 0
             suffix = () if len(replicates) == 1 else (f"seed{replicate}",)
-            recorder, scheduler, loop = _run_system(
-                system, phases, run_seed, window_us, sanitize=sanitize,
+            # No warm-up discard: the transitions are the point.
+            run_result = run_once(
+                system,
+                phases[0].spec,
+                UTILIZATION,
+                seed=run_seed,
+                warmup_frac=0.0,
+                phases=phases,
+                sanitize=sanitize,
                 trace_path=trace_target(
                     trace_dir, "figure7", system.name, *suffix
                 ),
+                trace_meta={"experiment": "figure7"},
                 metrics_path=metrics_target(
                     metrics_dir, "figure7", system.name, *suffix
                 ),
+                metrics_meta={"experiment": "figure7"},
             )
-            duration = loop.now
-            cols = recorder.columns()
-            summary = RunSummary(recorder, duration_us=duration, warmup_frac=0.0)
+            cols = run_result.server.recorder.columns()
+            summary = run_result.summary
+            scheduler = run_result.scheduler
             updates = getattr(scheduler, "reservation_updates", 0)
             if len(replicates) > 1:
                 result.tail_latency_samples.setdefault(system.name, []).append(

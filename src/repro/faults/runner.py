@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
+from .. import observe
 from ..errors import ConfigurationError
 from ..metrics.degradation import DegradationReport
 from ..metrics.recorder import Recorder
@@ -24,8 +25,7 @@ from ..server.server import Server
 from ..sim.engine import EventLoop
 from ..sim.randomness import RngRegistry
 from ..systems.base import SystemModel
-from ..workload.arrivals import PoissonArrivals
-from ..workload.generator import OpenLoopGenerator
+from ..workload.generator import start_load
 from ..workload.resilience import ResilientClient, RetryPolicy
 from ..workload.spec import WorkloadSpec
 from .injector import FaultInjector
@@ -144,28 +144,17 @@ def run_chaos(
     ``warmup_frac`` defaults to 0 because the pre-fault windows *are* the
     baseline a chaos analysis compares against.
 
-    ``trace_path`` (or an explicit ``tracer``) traces the episode: spans
-    for every delivered request (injector-level packet drops never reach
-    the server, so they produce no span), fault events in the decision
-    log, and the usual queue/worker samples.
-
-    ``metrics_path`` (or an explicit ``telemetry`` probe) collects the
-    virtual-time metrics plane over the episode — including the
-    ``repro_faults_injected_total`` family and the netstack gauges — and
-    writes the ``.prom``/``.jsonl``/``.html`` exports next to the trace.
+    The observer keyword arguments are those of :mod:`repro.observe`.
+    A traced episode has spans for every delivered request
+    (injector-level packet drops never reach the server, so they produce
+    no span), fault events in the decision log, and the usual
+    queue/worker samples; its metrics include the
+    ``repro_faults_injected_total`` family and the netstack gauges.
     """
     if utilization <= 0:
         raise ConfigurationError(f"utilization must be > 0, got {utilization}")
     if n_requests < 1:
         raise ConfigurationError(f"n_requests must be >= 1, got {n_requests}")
-    if trace_path is not None and tracer is None:
-        from ..trace import Tracer
-
-        tracer = Tracer()
-    if metrics_path is not None and telemetry is None:
-        from ..telemetry import TelemetryProbe
-
-        telemetry = TelemetryProbe()
     if slo_latency_us is None:
         slo_latency_us = DEFAULT_SLO_MULTIPLE * max(
             ts.mean_service_time for ts in spec.type_specs()
@@ -193,21 +182,22 @@ def run_chaos(
         completion_sink=client.on_complete if client is not None else None,
         drop_sink=client.on_drop if client is not None else None,
     )
-    sanitizer = None
-    if sanitize:
-        from ..lint.sanitizer import SimSanitizer
-
-        sanitizer = SimSanitizer(shadow_tiebreaks=(sanitize == "shadow"))
-        sanitizer.attach(loop, server)
-
     injector = FaultInjector(
         plan, rng=rngs.stream("faults.net") if plan.needs_rng else None
     )
     injector.arm(loop, server)
-    if tracer is not None:
-        tracer.install(loop, server, injector=injector)
-    if telemetry is not None:
-        telemetry.install(loop, server, injector=injector)
+    observers = observe.attach(
+        loop,
+        server,
+        injector=injector,
+        sanitize=sanitize,
+        tracer=tracer,
+        trace_path=trace_path,
+        trace_meta=trace_meta,
+        telemetry=telemetry,
+        metrics_path=metrics_path,
+        metrics_meta=metrics_meta,
+    )
 
     if client is not None:
         client.bind(injector.ingress)
@@ -216,17 +206,7 @@ def run_chaos(
         sink = injector.ingress
 
     rate = utilization * spec.peak_load(config.n_workers)
-    generator = OpenLoopGenerator(
-        loop,
-        spec,
-        PoissonArrivals(rate),
-        sink,
-        type_rng=rngs.stream("types"),
-        service_rng=rngs.stream("service"),
-        arrival_rng=rngs.stream("arrivals"),
-        limit=n_requests,
-    )
-    generator.start()
+    start_load(loop, spec, sink, rngs, rate, n_requests, config.n_workers)
     loop.run(until=max_sim_time_us)
 
     summary = RunSummary(
@@ -243,36 +223,17 @@ def run_chaos(
         pct=pct,
         recorder=recorder,
     )
-    if tracer is not None and trace_path is not None:
-        from ..trace.export import write_trace
-
-        meta: Dict[str, Any] = {
+    observers.export(
+        recorder,
+        {
             "system": system.name,
             "workload": spec.name,
             "utilization": utilization,
             "n_requests": n_requests,
             "seed": seed,
             "plan": plan.describe(),
-        }
-        if trace_meta:
-            meta.update(trace_meta)
-        write_trace(trace_path, tracer, recorder=recorder, meta=meta)
-    if telemetry is not None and metrics_path is not None:
-        from ..telemetry.export import write_metrics
-
-        meta = {
-            "system": system.name,
-            "workload": spec.name,
-            "utilization": utilization,
-            "n_requests": n_requests,
-            "seed": seed,
-            "plan": plan.describe(),
-        }
-        if metrics_meta:
-            meta.update(metrics_meta)
-        write_metrics(metrics_path, telemetry, recorder=recorder, meta=meta)
-    elif telemetry is not None:
-        telemetry.finalize()
+        },
+    )
     return ChaosResult(
         system.name,
         spec,
@@ -287,9 +248,9 @@ def run_chaos(
         scheduler,
         server,
         loop.now,
-        tracer=tracer,
+        tracer=observers.tracer,
         trace_path=trace_path,
-        sanitizer=sanitizer,
-        telemetry=telemetry,
+        sanitizer=observers.sanitizer,
+        telemetry=observers.telemetry,
         metrics_path=metrics_path,
     )

@@ -518,7 +518,8 @@ class TracePurityRule(Rule):
     run: spans, samples and metric scrapes are a pure function of
     simulated events.  Any wall-clock read, direct RNG draw, or
     host-entropy source inside ``repro/trace/``, ``repro/telemetry/``,
-    ``repro/sweep/``, or ``repro/forensics/`` would break that promise
+    ``repro/sweep/``, ``repro/rack/``, ``repro/forensics/`` or
+    ``repro/observe.py`` would break that promise
     (trace/metrics/merged sweep files and forensics stores would differ
     between identical runs, and ``--trace``/``--metrics``/
     ``--forensics``/``repro-sweep`` could no longer claim bit-identical
@@ -550,8 +551,9 @@ class TracePurityRule(Rule):
     #: ``numpy.random`` module call there is a determinism bug.
     #: ``forensics`` is post-hoc (it only reads exported artifacts) but
     #: its stores must be byte-identical across re-collections, so it
-    #: carries the same purity bar.
-    _OBSERVER_PACKAGES = ("trace", "telemetry", "sweep", "rack", "forensics")
+    #: carries the same purity bar.  ``observe`` is the module that
+    #: builds, attaches and exports every run's observers.
+    _OBSERVER_PACKAGES = ("trace", "telemetry", "sweep", "rack", "forensics", "observe")
 
     @classmethod
     def _observer_package(cls, ctx: ModuleContext) -> Optional[str]:

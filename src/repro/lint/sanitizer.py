@@ -3,10 +3,10 @@
 :class:`SimSanitizer` is the dynamic half of ``repro.lint``: where the
 AST rules catch nondeterminism *patterns*, the sanitizer catches live
 invariant breakage while a simulation runs.  It hooks into
-:class:`~repro.sim.engine.EventLoop` (see
-:meth:`~repro.sim.engine.EventLoop.attach_sanitizer`) and is called
-around every executed event; when disabled (the default — no sanitizer
-attached) the engine pays a single ``is None`` test per event.
+:class:`~repro.sim.engine.EventLoop` as an observer (see
+:meth:`~repro.sim.engine.EventLoop.attach_observer`) and is called
+around every executed event; when disabled (the default — no observer
+attached) the engine pays an empty-tuple test per event.
 
 Invariants checked after every event
 ------------------------------------
@@ -117,7 +117,7 @@ class SimSanitizer:
         if server is not None:
             self.server = server
         self.loop = loop
-        loop.attach_sanitizer(self)
+        loop.attach_observer(self)
         return self
 
     # ------------------------------------------------------------------

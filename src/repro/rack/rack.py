@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from ..cluster.cluster import _tee
+from .. import observe
 from ..errors import ConfigurationError
 from ..metrics.degradation import DegradationReport
 from ..metrics.recorder import Recorder
@@ -37,9 +37,8 @@ from ..server.server import Server
 from ..sim.engine import EventLoop
 from ..sim.randomness import RngRegistry
 from ..systems.base import SystemModel
-from ..workload.arrivals import PoissonArrivals
-from ..workload.generator import OpenLoopGenerator
-from ..workload.phases import Phase, PhaseSchedule
+from ..workload.generator import start_load
+from ..workload.phases import Phase
 from ..workload.request import Request
 from ..workload.spec import WorkloadSpec
 from .balancers import RackBalancer, make_balancer
@@ -49,6 +48,17 @@ from .views import QueueViews
 #: Default user-population size for session keys — the "millions of
 #: users" scale the rack is meant to absorb.
 DEFAULT_N_USERS = 1_000_000
+
+
+def _tee(rack_sink: Callable, replica_sink: Callable) -> Callable:
+    """Sink forwarding each request to the rack-level recorder first and
+    then to the replica's own recorder."""
+
+    def sink(request) -> None:
+        rack_sink(request)
+        replica_sink(request)
+
+    return sink
 
 
 class Rack:
@@ -242,6 +252,7 @@ def run_rack(
     trace_meta: Optional[Dict[str, object]] = None,
     telemetry=None,
     metrics_path: Optional[str] = None,
+    metrics_meta: Optional[Dict[str, object]] = None,
     max_sim_time_us: Optional[float] = None,
 ) -> RackResult:
     """Simulate one rack configuration and summarize it.
@@ -257,17 +268,15 @@ def run_rack(
     rack-wide peak, for ``n_requests`` arrivals.
 
     ``plan`` arms a :class:`~repro.rack.faults.RackFaultPlan` (whole
-    -server crashes, partitions).  ``sanitize`` attaches the runtime
-    invariant sanitizer in loop-only mode (monotonic-time and shadow
-    checks; server-specific invariants need a single server).
-    ``trace_path`` (or an explicit ``tracer``, a
-    :class:`~repro.rack.tracing.RackTracer`) turns on rack-scale span
-    tracing: one per-replica tracer tee plus the balancer decision log,
-    exported as a single merged trace document with globally unique
-    worker ids.  Like the single-server tracer it observes without
-    perturbing, so traced runs are bit-identical to untraced ones.
-    ``metrics_path`` (or an explicit ``telemetry`` probe) turns on the
-    virtual-time metrics plane with the rack pull source registered.
+    -server crashes, partitions).  The observer keyword arguments are
+    those of :mod:`repro.observe`: the sanitizer runs in loop-only mode
+    (monotonic-time and shadow checks; server-specific invariants need a
+    single server); the tracer is a
+    :class:`~repro.rack.tracing.RackTracer` — one tracer per replica
+    plus the balancer decision log, exported as a single merged trace
+    document with globally unique worker ids; the probe has the rack
+    pull source registered.  Observed runs are bit-identical to bare
+    ones.
     """
     if n_servers < 1:
         raise ConfigurationError(f"n_servers must be >= 1, got {n_servers}")
@@ -277,10 +286,6 @@ def run_rack(
         raise ConfigurationError(f"n_requests must be >= 1, got {n_requests}")
     if trace is not None and phases is not None:
         raise ConfigurationError("pass either trace or phases, not both")
-    if metrics_path is not None and telemetry is None:
-        from ..telemetry import TelemetryProbe
-
-        telemetry = TelemetryProbe()
 
     rngs = RngRegistry(seed=seed)
     loop = EventLoop()
@@ -318,59 +323,32 @@ def run_rack(
         n_users=n_users,
     )
 
-    rack_tracer = tracer
-    if trace_path is not None and rack_tracer is None:
-        from .tracing import RackTracer
-
-        rack_tracer = RackTracer()
-    if rack_tracer is not None:
-        rack_tracer.install(loop, servers, views, rack_balancer)
-
     injector = None
     if plan is not None and not plan.is_empty:
         injector = RackFaultInjector(plan)
         injector.arm(loop, servers, rack_balancer)
-    if sanitize:
-        from ..lint.sanitizer import SimSanitizer
-
-        # Loop-only attachment: per-server invariants (worker
-        # exclusivity, reservation rules) assume a single server, but
-        # time monotonicity and the shadow tie-break check still apply.
-        SimSanitizer(shadow_tiebreaks=(sanitize == "shadow")).attach(loop)
-    if telemetry is not None:
-        telemetry.install(loop)
-        for server in servers:
-            server.attach_telemetry(telemetry)
-        telemetry.register_rack(rack)
+    observers = observe.attach(
+        loop,
+        rack=rack,
+        sanitize=sanitize,
+        tracer=tracer,
+        trace_path=trace_path,
+        trace_meta=trace_meta,
+        telemetry=telemetry,
+        metrics_path=metrics_path,
+        metrics_meta=metrics_meta,
+    )
 
     per_server_peak = spec.peak_load(config.n_workers)
-    rack_workers = n_servers * config.n_workers
     if trace is not None:
-        from ..workload.trace import TraceReplayer
-
-        replayer = TraceReplayer(loop, trace, rack.ingress)
-        replayer.start()
-        offered = trace.offered_rate()
-        utilization = offered / (per_server_peak * n_servers)
+        rate = trace.offered_rate()
+        utilization = rate / (per_server_peak * n_servers)
     else:
         rate = utilization * per_server_peak * n_servers
-        generator = OpenLoopGenerator(
-            loop,
-            spec,
-            PoissonArrivals(rate),
-            rack.ingress,
-            type_rng=rngs.stream("types"),
-            service_rng=rngs.stream("service"),
-            arrival_rng=rngs.stream("arrivals"),
-            limit=None if phases is not None else n_requests,
-        )
-        if phases is not None:
-            schedule = PhaseSchedule(loop, generator, list(phases), rack_workers)
-            generator.start()
-            schedule.start()
-            loop.call_at(schedule.total_duration_us, generator.stop)
-        else:
-            generator.start()
+    start_load(
+        loop, spec, rack.ingress, rngs, rate, n_requests,
+        n_servers * config.n_workers, phases=phases, trace=trace,
+    )
     loop.run(until=max_sim_time_us)
 
     summary = RunSummary(
@@ -380,35 +358,18 @@ def run_rack(
         warmup_frac=warmup_frac,
         pct=pct,
     )
-    if rack_tracer is not None and trace_path is not None:
-        from .tracing import write_rack_trace
-
-        meta: Dict[str, object] = {
-            "system": system.name,
-            "workload": spec.name,
-            "balancer": balancer_name,
-            "n_servers": n_servers,
-            "utilization": utilization,
-            "staleness_us": staleness_us,
-            "seed": seed,
-        }
-        if trace_meta:
-            meta.update(trace_meta)
-        write_rack_trace(trace_path, rack_tracer, recorder=recorder, meta=meta)
-    if telemetry is not None and metrics_path is not None:
-        from ..telemetry.export import write_metrics
-
-        meta = {
-            "system": system.name,
-            "workload": spec.name,
-            "balancer": balancer_name,
-            "n_servers": n_servers,
-            "utilization": utilization,
-            "seed": seed,
-        }
-        write_metrics(metrics_path, telemetry, recorder=recorder, meta=meta)
-    elif telemetry is not None:
-        telemetry.finalize()
+    meta: Dict[str, object] = {
+        "system": system.name,
+        "workload": spec.name,
+        "balancer": balancer_name,
+        "n_servers": n_servers,
+        "utilization": utilization,
+    }
+    # The trace meta carries the view staleness; the metrics meta does not.
+    metrics_base = dict(meta, seed=seed)
+    meta["staleness_us"] = staleness_us
+    meta["seed"] = seed
+    observers.export(recorder, meta, metrics_base)
     return RackResult(
         summary,
         recorder,
@@ -419,8 +380,8 @@ def run_rack(
         utilization,
         balancer_name,
         injector=injector,
-        telemetry=telemetry,
+        telemetry=observers.telemetry,
         metrics_path=metrics_path,
-        tracer=rack_tracer,
+        tracer=observers.tracer,
         trace_path=trace_path,
     )

@@ -23,25 +23,23 @@ Design notes
 * The loop never moves time backwards; scheduling in the past raises
   :class:`~repro.errors.SimulationError` instead of silently reordering
   history.
-* An optional :class:`~repro.lint.sanitizer.SimSanitizer` may be attached
-  via :meth:`EventLoop.attach_sanitizer`; the loop then reports every
-  executed event (and heap drain) to it.  With no sanitizer attached the
-  cost is a single ``is None`` test per event.
-* An optional :class:`~repro.trace.tracer.Tracer` may be attached via
-  :meth:`EventLoop.attach_tracer`; the loop notifies it after every
-  executed event, which is how the tracer takes its periodic
-  queue-depth/worker-state samples *without scheduling events of its
-  own* — the heap contents, and therefore the simulated outcome, are
-  identical with tracing on or off.  When detached the cost is again a
-  single ``is None`` test per event.
-* The same piggyback contract powers :mod:`repro.telemetry`: an optional
-  :class:`~repro.telemetry.probe.TelemetryProbe`
-  (:meth:`EventLoop.attach_telemetry`) is notified after every executed
-  event and scrapes metrics on virtual time, and an optional
-  :class:`~repro.telemetry.profiler.SelfProfiler`
+* Observers register through :meth:`EventLoop.attach_observer`.  The
+  call copies each observer's optional ``before_event(loop, event)``,
+  ``after_event(loop, event)`` and ``on_drain(loop)`` bound methods into
+  per-hook tuples, in attach order; :meth:`run` calls them directly
+  around every executed event (and once when the heap drains).  A bare
+  run pays one empty-tuple test before and after each event.  Observers
+  — the :class:`~repro.lint.sanitizer.SimSanitizer`, the
+  :class:`~repro.trace.tracer.Tracer` and the
+  :class:`~repro.telemetry.probe.TelemetryProbe` — read simulated state
+  but never schedule events, draw randomness or mutate state, so the
+  heap contents, and therefore the simulated outcome, are identical
+  with or without them.  :mod:`repro.observe` builds and attaches them
+  for every run entry point.
+* An optional :class:`~repro.telemetry.profiler.SelfProfiler`
   (:meth:`EventLoop.attach_profiler`) wraps event execution to attribute
-  the simulator's own wall-clock cost per handler type.  Neither touches
-  the heap, so simulated outcomes stay bit-identical.
+  the simulator's own wall-clock cost per handler type.  It too leaves
+  the heap untouched.
 """
 
 from __future__ import annotations
@@ -76,9 +74,10 @@ class EventLoop:
         self._events_processed = 0
         self._running = False
         self._stopped = False
-        self._sanitizer = None
-        self._tracer = None
-        self._telemetry = None
+        self._observers: tuple = ()
+        self._before_event: tuple = ()
+        self._after_event: tuple = ()
+        self._on_drain: tuple = ()
         self._profiler = None
 
     @property
@@ -134,54 +133,37 @@ class EventLoop:
         self._stopped = True
 
     @property
-    def sanitizer(self):
-        """The attached :class:`SimSanitizer`, or None (the default)."""
-        return self._sanitizer
+    def observers(self) -> tuple:
+        """The registered observers, in attach order."""
+        return self._observers
 
-    def attach_sanitizer(self, sanitizer) -> None:
-        """Install an invariant checker notified around every event.
+    def attach_observer(self, observer) -> None:
+        """Register a pure observer notified around every executed event.
 
-        Pass ``None`` to detach.  Only one sanitizer may be attached at a
-        time; attaching over an existing one raises.
+        The loop looks up the observer's optional hooks once, here, and
+        keeps the bound methods in attach order:
+
+        * ``before_event(loop, event)`` — after the event is popped,
+          before the clock advances to its time;
+        * ``after_event(loop, event)`` — after the event's callback ran;
+        * ``on_drain(loop)`` — when :meth:`run` returns with no live
+          event left in the heap.
+
+        An observer must not schedule events, draw randomness or mutate
+        simulated state.  Registering the same object twice raises.
         """
-        if sanitizer is not None and self._sanitizer is not None and sanitizer is not self._sanitizer:
-            raise SimulationError("a sanitizer is already attached to this loop")
-        self._sanitizer = sanitizer
-
-    @property
-    def tracer(self):
-        """The attached :class:`~repro.trace.tracer.Tracer`, or None."""
-        return self._tracer
-
-    def attach_tracer(self, tracer) -> None:
-        """Install an observer notified after every executed event.
-
-        The tracer is strictly read-only: it samples queue depths and
-        worker states but never schedules events or mutates state, so
-        attaching one cannot change the simulated outcome.  Pass ``None``
-        to detach; attaching over a different tracer raises.
-        """
-        if tracer is not None and self._tracer is not None and tracer is not self._tracer:
-            raise SimulationError("a tracer is already attached to this loop")
-        self._tracer = tracer
-
-    @property
-    def telemetry(self):
-        """The attached :class:`~repro.telemetry.probe.TelemetryProbe`,
-        or None."""
-        return self._telemetry
-
-    def attach_telemetry(self, telemetry) -> None:
-        """Install a metrics probe notified after every executed event.
-
-        Like the tracer, the probe is a pure observer — it scrapes
-        simulated state on virtual time but never schedules events, so
-        attaching one cannot change the simulated outcome.  Pass
-        ``None`` to detach; attaching over a different probe raises.
-        """
-        if telemetry is not None and self._telemetry is not None and telemetry is not self._telemetry:
-            raise SimulationError("a telemetry probe is already attached to this loop")
-        self._telemetry = telemetry
+        if any(o is observer for o in self._observers):
+            raise SimulationError(f"{type(observer).__name__} already attached to this loop")
+        self._observers += (observer,)
+        before = getattr(observer, "before_event", None)
+        if before is not None:
+            self._before_event += (before,)
+        after = getattr(observer, "after_event", None)
+        if after is not None:
+            self._after_event += (after,)
+        on_drain = getattr(observer, "on_drain", None)
+        if on_drain is not None:
+            self._on_drain += (on_drain,)
 
     @property
     def profiler(self):
@@ -238,9 +220,8 @@ class EventLoop:
         self._stopped = False
         heap = self._heap
         heappop = heapq.heappop
-        sanitizer = self._sanitizer
-        tracer = self._tracer
-        telemetry = self._telemetry
+        before = self._before_event
+        after = self._after_event
         profiler = self._profiler
         executed = 0
         try:
@@ -256,8 +237,9 @@ class EventLoop:
                 if max_events is not None and executed >= max_events:
                     break
                 heappop(heap)
-                if sanitizer is not None:
-                    sanitizer.before_event(self, event)
+                if before:
+                    for hook in before:
+                        hook(self, event)
                 self._now = time
                 if profiler is not None:
                     profiler.run_event(event)
@@ -265,22 +247,18 @@ class EventLoop:
                     event.fn(*event.args)
                 self._events_processed += 1
                 executed += 1
-                if sanitizer is not None:
-                    sanitizer.after_event(self, event)
-                if tracer is not None:
-                    tracer.on_loop_event(self)
-                if telemetry is not None:
-                    telemetry.on_loop_event(self)
+                if after:
+                    for hook in after:
+                        hook(self, event)
                 if self._stopped:
                     break
-            if sanitizer is not None:
-                drained = True
+            if self._on_drain:
                 for entry in heap:
                     if not entry[2].cancelled:
-                        drained = False
                         break
-                if drained:
-                    sanitizer.on_drain(self)
+                else:
+                    for hook in self._on_drain:
+                        hook(self)
         finally:
             self._running = False
         if until is not None and not self._stopped and self._now < until:

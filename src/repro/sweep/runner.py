@@ -22,7 +22,6 @@ import time
 from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ConfigurationError
-from ..sim.units import US_PER_MS
 from .cells import Cell, CellResult
 from .planner import SELFTEST, experiment_spec
 
@@ -45,77 +44,73 @@ def _summary_metrics(summary) -> Dict[str, float]:
     }
 
 
-def _cell_paths(
+def _observers(
     cell: Cell, artifact_dir: Optional[str], observe: Tuple[str, ...]
-) -> Tuple[Optional[str], Optional[str], Tuple[str, ...]]:
-    """Per-cell trace/metrics targets inside ``artifact_dir``."""
+) -> Tuple[Dict[str, Any], Tuple[str, ...]]:
+    """The cell's observer keyword arguments (see :mod:`repro.observe`)
+    and the artifacts they write inside ``artifact_dir``."""
     if artifact_dir is None or not observe:
-        return None, None, ()
+        return {}, ()
     os.makedirs(artifact_dir, exist_ok=True)
-    trace_path = (
-        os.path.join(artifact_dir, f"{cell.cell_id}.trace.json")
-        if "trace" in observe
-        else None
-    )
-    metrics_path = (
-        os.path.join(artifact_dir, f"{cell.cell_id}.metrics")
-        if "metrics" in observe
-        else None
-    )
-    artifacts = tuple(p for p in (trace_path, metrics_path) if p is not None)
-    return trace_path, metrics_path, artifacts
+    meta = {"cell_id": cell.cell_id, "replicate": cell.replicate}
+    observers: Dict[str, Any] = {}
+    artifacts = []
+    if "trace" in observe:
+        path = os.path.join(artifact_dir, f"{cell.cell_id}.trace.json")
+        observers.update(trace_path=path, trace_meta=meta)
+        artifacts.append(path)
+    if "metrics" in observe:
+        path = os.path.join(artifact_dir, f"{cell.cell_id}.metrics")
+        observers.update(metrics_path=path, metrics_meta=meta)
+        artifacts.append(path)
+    return observers, tuple(artifacts)
 
 
-def _run_simulated_cell(
-    cell: Cell,
-    system,
-    wspec,
-    artifact_dir: Optional[str],
-    observe: Tuple[str, ...],
-) -> CellResult:
-    """The common load-point path: ``run_once`` + outcome digest."""
+def _system(cell: Cell, spec, workload: str):
+    """The cell's system, looked up among the experiment's systems."""
+    systems = {s.name: s for s in spec.systems_for(workload)}
+    system = systems.get(cell.params_dict["system"])
+    if system is None:
+        raise ConfigurationError(
+            f"cell {cell.cell_id}: system {cell.params_dict['system']!r} is not "
+            f"one of {sorted(systems)} for {cell.experiment}/{workload}"
+        )
+    return system
+
+
+#: A kind's runner returns (metrics, digest, simulated end time).
+_Outcome = Tuple[Dict[str, float], str, float]
+
+
+def _run_load_point(cell: Cell, system, wspec, observers) -> _Outcome:
     from ..experiments.common import run_once
     from ..lint.determinism import digest_outcome
 
     params = cell.params_dict
-    trace_path, metrics_path, artifacts = _cell_paths(cell, artifact_dir, observe)
-    meta = {"cell_id": cell.cell_id, "replicate": cell.replicate}
     result = run_once(
         system,
         wspec,
         params["rho"],
         n_requests=params["n_requests"],
         seed=cell.seed,
-        trace_path=trace_path,
-        trace_meta=meta if trace_path else None,
-        metrics_path=metrics_path,
-        metrics_meta=meta if metrics_path else None,
+        **observers,
     )
-    recorder = result.server.recorder
     loop = result.server.loop
-    return CellResult.build(
-        cell,
+    return (
         _summary_metrics(result.summary),
-        digest_outcome(recorder, loop),
+        digest_outcome(result.server.recorder, loop),
         loop.now,
-        artifacts=artifacts,
     )
 
 
-def _run_load_cell(cell, spec, artifact_dir, observe) -> CellResult:
-    params = cell.params_dict
-    workload = params["workload"]
-    systems = {s.name: s for s in spec.systems_for(workload)}
-    system = systems.get(params["system"])
-    if system is None:
-        raise ConfigurationError(
-            f"cell {cell.cell_id}: system {params['system']!r} is not one of "
-            f"{sorted(systems)} for {cell.experiment}/{workload}"
-        )
-    return _run_simulated_cell(cell, system, spec.spec_for(workload), artifact_dir, observe)
+def _run_load_cell(cell, spec, observers) -> _Outcome:
+    workload = cell.params_dict["workload"]
+    return _run_load_point(
+        cell, _system(cell, spec, workload), spec.spec_for(workload), observers
+    )
 
 
-def _run_reserved_cell(cell, spec, artifact_dir, observe) -> CellResult:
+def _run_reserved_cell(cell, spec, observers) -> _Outcome:
     from ..experiments import figure4
     from ..systems.persephone import PersephoneCfcfsSystem, PersephoneStaticSystem
 
@@ -134,67 +129,44 @@ def _run_reserved_cell(cell, spec, artifact_dir, observe) -> CellResult:
         raise ConfigurationError(
             f"cell {cell.cell_id}: unknown figure4 system {choice!r}"
         )
-    return _run_simulated_cell(
-        cell, system, spec.spec_for(params["workload"]), artifact_dir, observe
-    )
+    return _run_load_point(cell, system, spec.spec_for(params["workload"]), observers)
 
 
-def _run_phased_cell(cell, spec, artifact_dir, observe) -> CellResult:
+def _run_phased_cell(cell, spec, observers) -> _Outcome:
     from ..experiments import figure7
+    from ..experiments.common import run_once
     from ..lint.determinism import digest_outcome
-    from ..metrics.summary import RunSummary
 
-    params = cell.params_dict
-    systems = {s.name: s for s in spec.systems_for("phased")}
-    system = systems.get(params["system"])
-    if system is None:
-        raise ConfigurationError(
-            f"cell {cell.cell_id}: system {params['system']!r} is not one of "
-            f"{sorted(systems)} for figure7"
-        )
-    trace_path, metrics_path, artifacts = _cell_paths(cell, artifact_dir, observe)
-    recorder, scheduler, loop = figure7._run_system(
-        system,
-        figure7.default_phases(),
-        cell.seed,
-        window_us=10.0 * US_PER_MS,
-        trace_path=trace_path,
-        metrics_path=metrics_path,
+    phases = figure7.default_phases()
+    result = run_once(
+        _system(cell, spec, "phased"),
+        phases[0].spec,
+        figure7.UTILIZATION,
+        seed=cell.seed,
+        warmup_frac=0.0,
+        phases=phases,
+        **observers,
     )
-    summary = RunSummary(recorder, duration_us=loop.now, warmup_frac=0.0)
-    metrics = _summary_metrics(summary)
+    loop = result.server.loop
+    metrics = _summary_metrics(result.summary)
     metrics["reservation_updates"] = float(
-        getattr(scheduler, "reservation_updates", 0)
+        getattr(result.scheduler, "reservation_updates", 0)
     )
-    return CellResult.build(
-        cell,
-        metrics,
-        digest_outcome(recorder, loop),
-        loop.now,
-        artifacts=artifacts,
-    )
+    return metrics, digest_outcome(result.server.recorder, loop), loop.now
 
 
-def _run_chaos_cell(cell, spec, artifact_dir, observe) -> CellResult:
+def _run_chaos_cell(cell, spec, observers) -> _Outcome:
     from ..experiments import chaos
     from ..faults.runner import run_chaos
     from ..lint.determinism import digest_chaos_outcome
 
     params = cell.params_dict
     workload = params["workload"]
-    systems = {s.name: s for s in spec.systems_for(workload)}
-    system = systems.get(params["system"])
-    if system is None:
-        raise ConfigurationError(
-            f"cell {cell.cell_id}: system {params['system']!r} is not one of "
-            f"{sorted(systems)} for chaos"
-        )
     wspec = spec.spec_for(workload)
     n_requests = params["n_requests"]
     plan, _crash_at, _recover_at, window_us = chaos.episode_plan(n_requests, wspec)
-    trace_path, metrics_path, artifacts = _cell_paths(cell, artifact_dir, observe)
     res = run_chaos(
-        system,
+        _system(cell, spec, workload),
         wspec,
         params["rho"],
         plan,
@@ -203,8 +175,7 @@ def _run_chaos_cell(cell, spec, artifact_dir, observe) -> CellResult:
         retry=chaos.default_retry(),
         window_us=window_us,
         slo_latency_us=chaos.SLO_LATENCY_US,
-        trace_path=trace_path,
-        metrics_path=metrics_path,
+        **observers,
     )
     recorder = res.recorder
     loop = res.server.loop
@@ -225,53 +196,39 @@ def _run_chaos_cell(cell, spec, artifact_dir, observe) -> CellResult:
             getattr(res.scheduler, "reservation_updates", 0)
         ),
     }
-    return CellResult.build(
-        cell,
-        metrics,
-        digest_chaos_outcome(recorder, loop, res.injector),
-        loop.now,
-        artifacts=artifacts,
-    )
+    return metrics, digest_chaos_outcome(recorder, loop, res.injector), loop.now
 
 
-def _run_rack_cell(cell, spec, artifact_dir, observe) -> CellResult:
-    from ..lint.determinism import digest_outcome
+def _run_rack_cell(cell, spec, observers) -> _Outcome:
     from ..rack.rack import run_rack
 
     params = cell.params_dict
     workload = params["workload"]
-    systems = {s.name: s for s in spec.systems_for(workload)}
-    system = systems.get(params["system"])
-    if system is None:
-        raise ConfigurationError(
-            f"cell {cell.cell_id}: system {params['system']!r} is not one of "
-            f"{sorted(systems)} for rack"
-        )
-    _trace_path, metrics_path, artifacts = _cell_paths(cell, artifact_dir, observe)
-    if metrics_path is None:
-        artifacts = ()
     result = run_rack(
-        system,
+        _system(cell, spec, workload),
         spec.spec_for(workload),
         balancer=params["balancer"],
         n_servers=params["n_servers"],
         utilization=params["rho"],
         n_requests=params["n_requests"],
         seed=cell.seed,
-        metrics_path=metrics_path,
+        **observers,
     )
     metrics = _summary_metrics(result.summary)
     metrics["load_imbalance"] = float(result.load_imbalance())
     metrics["spills"] = float(getattr(result.balancer, "spills", 0))
     metrics["stale_reads"] = float(result.views.stale_reads)
     metrics["view_error"] = float(result.views.mean_error())
-    return CellResult.build(
-        cell,
-        metrics,
-        digest_outcome(result.recorder, result.loop),
-        result.loop.now,
-        artifacts=artifacts,
-    )
+    return metrics, result.digest(), result.loop.now
+
+
+_RUNNERS = {
+    "load_sweep": _run_load_cell,
+    "reserved_grid": _run_reserved_cell,
+    "phased": _run_phased_cell,
+    "chaos": _run_chaos_cell,
+    "rack": _run_rack_cell,
+}
 
 
 def _run_selftest_cell(cell: Cell) -> CellResult:
@@ -322,21 +279,16 @@ def run_cell(
     under ``artifact_dir``; digests are identical either way.
     """
     spec = experiment_spec(cell.experiment)
-    if spec.kind == "load_sweep":
-        return _run_load_cell(cell, spec, artifact_dir, observe)
-    if spec.kind == "reserved_grid":
-        return _run_reserved_cell(cell, spec, artifact_dir, observe)
-    if spec.kind == "phased":
-        return _run_phased_cell(cell, spec, artifact_dir, observe)
-    if spec.kind == "chaos":
-        return _run_chaos_cell(cell, spec, artifact_dir, observe)
-    if spec.kind == "rack":
-        return _run_rack_cell(cell, spec, artifact_dir, observe)
     if spec.kind == "selftest":
         return _run_selftest_cell(cell)
-    raise ConfigurationError(
-        f"cell {cell.cell_id}: unrunnable experiment kind {spec.kind!r}"
-    )
+    runner = _RUNNERS.get(spec.kind)
+    if runner is None:
+        raise ConfigurationError(
+            f"cell {cell.cell_id}: unrunnable experiment kind {spec.kind!r}"
+        )
+    observers, artifacts = _observers(cell, artifact_dir, observe)
+    metrics, digest, sim_time_us = runner(cell, spec, observers)
+    return CellResult.build(cell, metrics, digest, sim_time_us, artifacts=artifacts)
 
 
 def run_cell_doc(

@@ -93,7 +93,7 @@ class TelemetryProbe:
         self._server = server
         self._injector = injector
         self._last_scrape_at = loop.now
-        loop.attach_telemetry(self)
+        loop.attach_observer(self)
         if server is not None:
             server.attach_telemetry(self)
         self.tail_monitor.register_gauges(self.registry)
@@ -228,7 +228,7 @@ class TelemetryProbe:
     # ------------------------------------------------------------------
     # the scrape loop (piggybacked on executed events)
     # ------------------------------------------------------------------
-    def on_loop_event(self, loop) -> None:
+    def after_event(self, loop, event) -> None:
         """Notified by the event loop after every executed event."""
         now = loop.now
         if (

@@ -129,24 +129,19 @@ class Tracer:
     # ------------------------------------------------------------------
     # wiring
     # ------------------------------------------------------------------
-    def install(self, loop, server, injector=None, attach_loop: bool = True) -> None:
+    def install(self, loop, server, injector=None) -> None:
         """Attach this tracer to a loop + server (+ optional injector).
 
-        Idempotent per run; a tracer observes exactly one run.
-
-        ``attach_loop=False`` wires the server hooks but leaves the
-        loop's single tracer slot free — for multiplexers like
-        :class:`repro.rack.tracing.RackTracer` that occupy the slot
-        themselves and forward :meth:`on_loop_event` to each replica's
-        tracer.
+        A tracer observes exactly one server of one run; a rack run
+        registers one tracer per replica on its shared loop
+        (:class:`repro.rack.tracing.RackTracer`).
         """
         if self._loop is not None:
             raise TraceError("tracer already installed; use one tracer per run")
         self._loop = loop
         self._server = server
         self._last_sample_at = loop.now
-        if attach_loop:
-            loop.attach_tracer(self)
+        loop.attach_observer(self)
         server.attach_tracer(self)
         if injector is not None:
             injector.attach_tracer(self)
@@ -279,7 +274,7 @@ class Tracer:
     # ------------------------------------------------------------------
     # periodic sampling (piggybacked on executed events)
     # ------------------------------------------------------------------
-    def on_loop_event(self, loop) -> None:
+    def after_event(self, loop, event) -> None:
         """Notified by the event loop after every executed event."""
         now = loop.now
         if (

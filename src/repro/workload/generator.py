@@ -12,7 +12,7 @@ so the Fig. 7 phase-change experiment can mutate the workload mid-run.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +21,11 @@ from ..sim.engine import EventLoop
 from .arrivals import ArrivalProcess, PoissonArrivals
 from .request import Request
 from .spec import WorkloadSpec
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..sim.randomness import RngRegistry
+    from .phases import Phase
+    from .trace import Trace
 
 Sink = Callable[[Request], None]
 
@@ -127,3 +132,46 @@ class OpenLoopGenerator:
             f"OpenLoopGenerator(spec={self.spec.name!r}, process={self.process!r}, "
             f"generated={self.generated})"
         )
+
+
+def start_load(
+    loop: EventLoop,
+    spec: WorkloadSpec,
+    sink: Sink,
+    rngs: "RngRegistry",
+    rate: float,
+    n_requests: int,
+    n_workers: int,
+    phases: Optional[Sequence["Phase"]] = None,
+    trace: Optional["Trace"] = None,
+) -> None:
+    """Start one run's load source, feeding ``sink``.
+
+    A recorded ``trace`` is replayed verbatim.  Otherwise an open-loop
+    Poisson stream at ``rate`` draws from ``rngs``' ``types``,
+    ``service`` and ``arrivals`` streams: ``n_requests`` arrivals, or,
+    with ``phases``, arrivals until the last phase ends, each phase
+    re-deriving the rate over ``n_workers`` cores.
+    """
+    if trace is not None:
+        from .trace import TraceReplayer
+
+        TraceReplayer(loop, trace, sink).start()
+        return
+    generator = OpenLoopGenerator(
+        loop,
+        spec,
+        PoissonArrivals(rate),
+        sink,
+        type_rng=rngs.stream("types"),
+        service_rng=rngs.stream("service"),
+        arrival_rng=rngs.stream("arrivals"),
+        limit=None if phases is not None else n_requests,
+    )
+    generator.start()
+    if phases is not None:
+        from .phases import PhaseSchedule
+
+        schedule = PhaseSchedule(loop, generator, list(phases), n_workers)
+        schedule.start()
+        loop.call_at(schedule.total_duration_us, generator.stop)

@@ -132,3 +132,16 @@ class TestHygiene:
             },
         )
         assert rule_ids(analyze(files)) == ["A102", "A103"]
+
+
+class TestObserverPurity:
+    def test_wall_clock_in_observe_module_is_flagged(self, analyze):
+        files = {
+            "repro/observe.py": """
+            import time
+
+            def attach(loop):
+                return time.perf_counter()
+            """
+        }
+        assert rule_ids(analyze(files, select=["A301"])) == ["A301"]

@@ -191,3 +191,28 @@ class TestDigestNeutrality:
         # A healthy non-chaos run may or may not tie; hazards must be
         # recorded, never raised.
         assert isinstance(sanitizer.tiebreak_hazards, list)
+
+    def test_figure7_honours_shadow(self, monkeypatch):
+        from repro.experiments import figure7
+
+        runs = []
+        real_run_once = figure7.run_once
+
+        def recording_run_once(*args, **kwargs):
+            runs.append(real_run_once(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(figure7, "run_once", recording_run_once)
+        figure7.run(
+            phases=figure7.default_phases(phase_us=3_000.0),
+            window_us=1_000.0,
+            sanitize="shadow",
+        )
+        assert len(runs) == 2
+        for result in runs:
+            sanitizer = result.sanitizer
+            assert sanitizer.shadow_tiebreaks
+            assert sanitizer.events_checked == result.server.loop.events_processed
+            # Poisson arrivals and round phase boundaries never share a
+            # timestamp here, so there is no tie group to inspect.
+            assert sanitizer.tiebreak_hazards == []

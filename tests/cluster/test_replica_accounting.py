@@ -2,8 +2,8 @@
 
 Covers the cluster-layer fixes that rode along with the rack subsystem:
 
-* ``run_cluster`` tees completions into per-replica recorders without
-  changing the cluster-level stream;
+* ``run_rack`` tees completions into per-replica recorders without
+  changing the rack-level stream;
 * ``Balancer.ingress`` routes to the *least-loaded* dead replica when
   the whole cluster is down (not an arbitrary ``pick()``);
 * ``TypeAwareBalancer``/``JoinShortestQueue`` under worker
@@ -11,16 +11,13 @@ Covers the cluster-layer fixes that rode along with the rack subsystem:
   holds throughout.
 """
 
-import pytest
-
 from repro.cluster.balancer import JoinShortestQueue, TypeAwareBalancer
-from repro.cluster.cluster import ClusterResult, run_cluster
-from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.metrics.recorder import Recorder
 from repro.metrics.summary import RunSummary
 from repro.policies.fcfs import CentralizedFCFS
+from repro.rack.rack import run_rack
 from repro.server.config import ServerConfig
 from repro.server.server import Server
 from repro.sim.engine import EventLoop
@@ -32,7 +29,7 @@ from repro.workload.presets import high_bimodal
 from repro.workload.request import Request
 
 
-def jsq_factory(servers, rngs):
+def jsq_factory(servers, views, rngs, spec):
     return JoinShortestQueue(servers)
 
 
@@ -56,11 +53,11 @@ def kill(server):
 
 class TestReplicaSummaries:
     def test_per_replica_recorders_partition_the_stream(self):
-        result = run_cluster(
+        result = run_rack(
             PersephoneCfcfsSystem(n_workers=2),
             high_bimodal(),
             jsq_factory,
-            n_replicas=3,
+            n_servers=3,
             utilization=0.5,
             n_requests=3000,
             seed=2,
@@ -80,11 +77,11 @@ class TestReplicaSummaries:
         # The shared recorder sees completions in the same order as the
         # pre-tee implementation: identical runs still agree exactly, and
         # the replica roll-up matches the cluster-level stream.
-        kwargs = dict(n_replicas=2, utilization=0.5, n_requests=1500, seed=4)
-        a = run_cluster(
+        kwargs = dict(n_servers=2, utilization=0.5, n_requests=1500, seed=4)
+        a = run_rack(
             PersephoneCfcfsSystem(n_workers=2), high_bimodal(), jsq_factory, **kwargs
         )
-        b = run_cluster(
+        b = run_rack(
             PersephoneCfcfsSystem(n_workers=2), high_bimodal(), jsq_factory, **kwargs
         )
         assert a.summary.completed == b.summary.completed
@@ -93,13 +90,6 @@ class TestReplicaSummaries:
             assert sum(
                 r.completed + r.dropped for r in result.replica_recorders
             ) == 1500
-
-    def test_empty_replica_recorders_raise(self):
-        result = ClusterResult(
-            summary=None, servers=[], balancer=None, utilization=0.5
-        )
-        with pytest.raises(ConfigurationError):
-            result.replica_summaries()
 
 
 class TestDeadClusterFallback:

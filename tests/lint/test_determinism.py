@@ -61,14 +61,16 @@ class TestSanitizedExperiment:
             system, high_bimodal(), 0.7, n_requests=1500, seed=3, sanitize=True
         )
         loop = result.server.loop
-        assert loop.sanitizer is not None
-        assert loop.sanitizer.events_checked == loop.events_processed
+        assert result.sanitizer is not None
+        assert loop.observers == (result.sanitizer,)
+        assert result.sanitizer.events_checked == loop.events_processed
         assert result.summary.completed > 0
 
     def test_sanitizer_disabled_by_default(self):
         system = PersephoneSystem(n_workers=8, min_samples=200)
         result = run_once(system, high_bimodal(), 0.5, n_requests=300, seed=3)
-        assert result.server.loop.sanitizer is None
+        assert result.sanitizer is None
+        assert result.server.loop.observers == ()
 
     def test_sanitizer_does_not_perturb_digest(self):
         system = PersephoneSystem(n_workers=8, min_samples=200)

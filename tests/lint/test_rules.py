@@ -441,7 +441,7 @@ class TestTracePurity:
         findings = lint(
             """
             import time
-            def on_loop_event(loop):
+            def after_event(loop, event):
                 return time.monotonic()
             """,
             path=self.TRACE,
@@ -449,6 +449,18 @@ class TestTracePurity:
         )
         assert rule_ids(findings) == ["R009"]
         assert "wall-clock read" in findings[0].message
+
+    def test_wall_clock_in_observe_module_flagged(self):
+        findings = lint(
+            """
+            import time
+            def attach(loop):
+                return time.monotonic()
+            """,
+            path="src/repro/observe.py",
+            select=["R009"],
+        )
+        assert rule_ids(findings) == ["R009"]
 
     def test_direct_rng_in_trace_flagged(self):
         findings = lint(
@@ -479,7 +491,7 @@ class TestTracePurity:
     def test_sim_time_reads_ok(self):
         findings = lint(
             """
-            def on_loop_event(self, loop):
+            def after_event(self, loop, event):
                 now = loop.now
                 self.samples.append(now)
             """,

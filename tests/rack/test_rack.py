@@ -195,3 +195,28 @@ class TestValidation:
             darc.summary.per_type[0].tail_latency
             < shinjuku.summary.per_type[0].tail_latency
         )
+
+
+class TestTracing:
+    def test_replica_tracers_reproduce_the_pinned_trace(self, tmp_path):
+        """Each of 16 replica tracers registers on the rack's one loop;
+        the trace bytes equal those pinned when a single rack-level
+        tracer fanned the loop's notifications out to the replicas."""
+        import hashlib
+
+        path = tmp_path / "rack.trace.json"
+        result = run_rack(
+            PersephoneSystem(n_workers=8, oracle=False),
+            high_bimodal(),
+            balancer="jsq-stale",
+            n_servers=16,
+            utilization=0.7,
+            n_requests=3000,
+            seed=1,
+            trace_path=str(path),
+        )
+        assert result.loop.observers == tuple(result.tracer.tracers)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "50d6e3025c7cbb726cb019b0d1d69836f23a29c4433b9b52a1df9cbe932cefbe"
+        )
+

@@ -185,3 +185,81 @@ class TestRunControl:
         loop.call_at(2.0, fired.append, "after")
         loop.run()
         assert fired == ["after"]
+
+
+class HookLog:
+    """An observer logging every hook call into a shared list."""
+
+    def __init__(self, name, log):
+        self.name = name
+        self.log = log
+
+    def before_event(self, loop, event):
+        self.log.append(("before", self.name, loop.now, event.time))
+
+    def after_event(self, loop, event):
+        self.log.append(("after", self.name, loop.now, event.time))
+
+    def on_drain(self, loop):
+        self.log.append(("drain", self.name, loop.now))
+
+
+class AfterOnly:
+    def __init__(self, log):
+        self.log = log
+
+    def after_event(self, loop, event):
+        self.log.append(("after-only", loop.now))
+
+
+class TestObservers:
+    def test_hooks_run_in_attach_order(self):
+        loop = EventLoop()
+        log = []
+        loop.attach_observer(HookLog("a", log))
+        loop.attach_observer(AfterOnly(log))
+        loop.attach_observer(HookLog("b", log))
+        loop.call_at(2.0, log.append, "event")
+        loop.run()
+        assert log == [
+            # Before hooks see the clock before it advances.
+            ("before", "a", 0.0, 2.0),
+            ("before", "b", 0.0, 2.0),
+            "event",
+            ("after", "a", 2.0, 2.0),
+            ("after-only", 2.0),
+            ("after", "b", 2.0, 2.0),
+            ("drain", "a", 2.0),
+            ("drain", "b", 2.0),
+        ]
+
+    def test_registering_the_same_object_twice_raises(self):
+        loop = EventLoop()
+        observer = HookLog("a", [])
+        loop.attach_observer(observer)
+        with pytest.raises(SimulationError, match="already attached"):
+            loop.attach_observer(observer)
+        assert loop.observers == (observer,)
+
+    def test_bare_run_calls_no_hook(self):
+        log = []
+        observed, bare = EventLoop(), EventLoop()
+        observed.attach_observer(HookLog("a", log))
+        for loop in (observed, bare):
+            loop.call_at(1.0, lambda: None)
+        bare.run()
+        assert bare.observers == () and log == []
+        observed.run()
+        assert [entry[0] for entry in log] == ["before", "after", "drain"]
+
+    def test_drain_hook_waits_for_an_empty_heap(self):
+        loop = EventLoop()
+        log = []
+        loop.attach_observer(HookLog("a", log))
+        loop.call_at(1.0, lambda: None)
+        loop.call_at(5.0, lambda: None).cancel()
+        loop.call_at(9.0, lambda: None)
+        loop.run(until=4.0)
+        assert all(entry[0] != "drain" for entry in log)
+        loop.run()
+        assert log[-1] == ("drain", "a", 9.0)

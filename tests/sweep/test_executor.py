@@ -83,3 +83,23 @@ class TestPool:
         outcomes = execute_cells(plan.cells, jobs=2)
         assert outcomes[0].status == "error"
         assert "ConfigurationError" in outcomes[0].error
+
+
+class TestObservedCells:
+    def test_chaos_cell_artifacts_carry_cell_meta(self, tmp_path):
+        import json
+
+        from repro.sweep.planner import plan_experiment
+        from repro.telemetry.export import read_metrics
+
+        cell = plan_experiment("chaos", seeds=(1,), n_requests=1500).cells[0]
+        observed = run_cell(cell, str(tmp_path), ("trace", "metrics"))
+        assert observed.digest == run_cell(cell).digest
+        trace_path, metrics_path = observed.artifacts
+        with open(trace_path) as fp:
+            trace_meta = json.load(fp)["repro"]["meta"]
+        metrics_meta = read_metrics(metrics_path + ".jsonl").meta
+        for meta in (trace_meta, metrics_meta):
+            assert meta["cell_id"] == cell.cell_id
+            assert meta["replicate"] == cell.replicate
+            assert "plan" in meta

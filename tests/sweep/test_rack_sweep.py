@@ -84,6 +84,27 @@ class TestRunner:
         with pytest.raises(ConfigurationError):
             run_cell(cell)
 
+    def test_observed_cell_writes_every_artifact(self, cell_result, tmp_path):
+        import json
+
+        from repro.telemetry.export import read_metrics
+        from repro.trace.cli import main as trace_main
+
+        cell = rack_cell(n_requests=600)
+        observed = run_cell(cell, str(tmp_path), ("trace", "metrics"))
+        assert observed.digest == cell_result.digest
+        trace_path, metrics_path = observed.artifacts
+        assert trace_path.endswith(".trace.json")
+        assert trace_main(["validate", trace_path]) == 0
+        for suffix in (".prom", ".jsonl", ".html"):
+            assert (tmp_path / (cell.cell_id + ".metrics" + suffix)).stat().st_size > 0
+        expected = {"cell_id": cell.cell_id, "replicate": cell.replicate}
+        with open(trace_path) as fp:
+            trace_meta = json.load(fp)["repro"]["meta"]
+        metrics_meta = read_metrics(metrics_path + ".jsonl").meta
+        for meta in (trace_meta, metrics_meta):
+            assert {k: meta[k] for k in expected} == expected
+
 
 class TestMerge:
     def _fake_result(self, system, balancer, rho, slowdown, replicate=1):

@@ -182,11 +182,16 @@ class TestZeroInterference:
 
 
 class TestWiring:
-    def test_one_tracer_per_loop(self):
+    def test_replica_tracers_share_one_loop(self):
+        # A rack registers one tracer per replica on its single loop;
+        # only re-registering the same tracer is an error.
         loop = EventLoop()
-        loop.attach_tracer(Tracer())
+        first, second = Tracer(), Tracer()
+        loop.attach_observer(first)
+        loop.attach_observer(second)
+        assert loop.observers == (first, second)
         with pytest.raises(SimulationError, match="already attached"):
-            loop.attach_tracer(Tracer())
+            loop.attach_observer(first)
 
     def test_tracer_installs_once(self):
         _, tracer = traced_run(
