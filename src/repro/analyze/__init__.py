@@ -1,10 +1,13 @@
-"""Whole-program static analysis for the Persephone reproduction.
+"""Static analysis for the Persephone reproduction.
 
-Where :mod:`repro.lint` checks one module at a time, this package parses
-the entire tree into a symbol table and call graph
-(:mod:`repro.analyze.model`) and runs seven interprocedural analyses
-over it:
+The package parses the whole tree once into a symbol table and call
+graph (:mod:`repro.analyze.model`) and runs eight analyses over it:
 
+* :mod:`repro.analyze.modulerules` — per-module determinism and unit
+  rules (A003, A004, A104, A302, A303, A506, A605, A606): direct RNG
+  calls, wall clocks, host entropy, mutable defaults, set iteration,
+  raw unit literals, handler global mutation and builtin ``hash()``,
+  all checked in one AST walk per module.
 * :mod:`repro.analyze.eventflow` — simulated-time race detection
   (A001/A002): same-timestamp event pairs whose handlers touch
   overlapping state, i.e. outcomes decided only by heap insertion order.
@@ -15,9 +18,8 @@ over it:
   verification (A201–A203): required overrides, mandatory ``super()``
   chains, reserved engine-owned field writes.
 * :mod:`repro.analyze.purity` — observer-purity verification (A301):
-  wall-clock, entropy, RNG, and heap-tracking calls inside the trace
-  and telemetry observer packages, resolved through each module's
-  import table.
+  wall-clock, entropy, RNG, and heap-tracking calls inside the observer
+  packages, resolved through each module's import table.
 * :mod:`repro.analyze.hotpath` — profile-guided hot-path performance
   analysis (A401–A406): allocations, missing ``__slots__``, repeated
   attribute lookups, string formatting, exception-driven control flow,
@@ -38,12 +40,15 @@ over it:
   packages, and checkpoint writes that bypass the single-writer
   store.
 
-Findings share :mod:`repro.lint`'s severity and pragma model
-(``# repro-analyze: disable=A102``), serialize to text, JSON and SARIF
-2.1.0 (:mod:`repro.analyze.sarif`), and gate in CI against a checked-in
-baseline (:mod:`repro.analyze.baseline`).  The CLI is ``repro-analyze``
-(:mod:`repro.analyze.cli`).  The runtime twin of the eventflow analysis
-is the tie-break shadow check in :class:`repro.lint.sanitizer.SimSanitizer`.
+Findings carry a severity, honour one pragma grammar
+(``# repro-analyze: disable=A102``, :mod:`repro.analyze.pragmas`),
+serialize to text, JSON and SARIF 2.1.0 (:mod:`repro.analyze.sarif`),
+and gate in CI against a checked-in baseline
+(:mod:`repro.analyze.baseline`).  The CLI is ``repro-analyze``
+(:mod:`repro.analyze.cli`); its ``determinism`` subcommand runs the
+twice-run digest check in :mod:`repro.lint.determinism`.  The runtime
+twin of the eventflow analysis is the tie-break shadow check in
+:class:`repro.lint.sanitizer.SimSanitizer`.
 """
 
 from .baseline import BaselineDiff, diff_baseline, load_baseline, write_baseline
@@ -67,7 +72,8 @@ from .hotpath import (
     load_profile,
     rank_findings,
 )
-from .model import Program, build_program
+from .model import Program, build_program, iter_python_files
+from .modulerules import analyze_modules
 from .purity import analyze_purity
 from .rngflow import analyze_rngflow
 from .runner import analyze_paths, analyze_program, has_errors
@@ -87,6 +93,7 @@ __all__ = [
     "analyze_forksafety",
     "analyze_function",
     "analyze_hotpath",
+    "analyze_modules",
     "analyze_paths",
     "analyze_program",
     "analyze_purity",
@@ -102,6 +109,7 @@ __all__ = [
     "has_errors",
     "hot_functions",
     "hot_roots",
+    "iter_python_files",
     "join",
     "load_baseline",
     "load_profile",

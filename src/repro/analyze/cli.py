@@ -8,7 +8,7 @@ Usage::
     repro-analyze scan src/repro --baseline analyze-baseline.json
                                                       # gate: new findings fail
     repro-analyze scan src/repro --purity-audit       # + sanctioned-impurity
-                                                      # ledger (R009/A301)
+                                                      # ledger (A301)
     repro-analyze baseline src/repro -o analyze-baseline.json
                                                       # (re)write the baseline
     repro-analyze diff src/repro --baseline analyze-baseline.json
@@ -22,9 +22,12 @@ Usage::
     repro-analyze selfcheck                           # scan this package's
                                                       # own source tree
     repro-analyze list-rules                          # finding catalogue
+    repro-analyze determinism [--chaos] [--sanitize]  # twice-run same-seed
+                                                      # digest check
 
 Exit codes: 0 clean, 1 gate failure (unbaselined findings / severity
-errors / any finding with ``--strict``), 2 usage or internal errors.
+errors / any finding with ``--strict``) or a determinism mismatch, 2
+usage or internal errors.
 """
 
 from __future__ import annotations
@@ -39,9 +42,8 @@ from ..errors import ReproError
 from .baseline import diff_baseline, load_baseline, write_baseline
 from .findings import ANALYSIS_RULES, AnalysisFinding
 from .hotpath import load_profile, rank_findings
-from .model import build_program
+from .model import build_program, iter_python_files
 from .runner import analyze_paths, analyze_program, has_errors
-from ..lint.runner import iter_python_files
 from .sarif import sarif_text
 
 #: The rule ids the ``hotpath`` subcommand restricts itself to.
@@ -57,9 +59,9 @@ FORKSAFETY_SELECT = ["A000", "A601", "A602", "A603", "A604"]
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-analyze",
-        description="Interprocedural static analyzer for the Persephone "
-        "reproduction: simulated-time races, RNG-stream escapes, and "
-        "Policy/System/Balancer contract violations.",
+        description="Static analyzer for the Persephone reproduction "
+        "(determinism, units, purity, contracts, races, hot paths, fork "
+        "safety), plus the twice-run same-seed determinism check.",
     )
     sub = parser.add_subparsers(dest="command")
 
@@ -94,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument(
         "--purity-audit",
         action="store_true",
-        help="also print the sanctioned-impurity ledger: every R009/A301 "
+        help="also print the sanctioned-impurity ledger: every A301 "
         "suppression pragma with its file:line and code",
     )
 
@@ -171,6 +173,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sub.add_parser("list-rules", help="print the finding catalogue and exit")
+
+    det = sub.add_parser(
+        "determinism",
+        help="twice-run each system with one seed and compare outcome digests",
+    )
+    det.add_argument(
+        "--n-requests",
+        type=int,
+        default=2000,
+        help="arrivals per determinism run (default 2000)",
+    )
+    det.add_argument("--seed", type=int, default=1, help="determinism root seed")
+    det.add_argument(
+        "--sanitize",
+        action="store_true",
+        help="also attach the runtime SimSanitizer during the runs",
+    )
+    det.add_argument(
+        "--chaos",
+        action="store_true",
+        help="additionally twice-run each system through a fault-injected "
+        "episode (crash/recover, straggler, packet loss/dup, retries) "
+        "and compare digests",
+    )
     return parser
 
 
@@ -206,12 +232,9 @@ def _print_purity_audit(paths: Sequence[str]) -> None:
     from .purity import purity_pragma_ledger
 
     entries = purity_pragma_ledger(paths)
-    print("Sanctioned observer impurities (R009/A301 suppression pragmas):")
+    print("Sanctioned observer impurities (A301 suppression pragmas):")
     for entry in entries:
-        print(
-            f"  {entry['path']}:{entry['line']} "
-            f"[{entry['tool']}:{entry['rule']}] {entry['code']}"
-        )
+        print(f"  {entry['path']}:{entry['line']} [{entry['rule']}] {entry['code']}")
     print(f"repro-analyze: {len(entries)} sanctioned impurity pragma(s)")
 
 
@@ -270,6 +293,25 @@ def _gate(
     return 1 if has_errors(findings, strict=strict) else 0
 
 
+def _determinism(args: argparse.Namespace) -> int:
+    """Twice-run digest check; exit 1 on any mismatch."""
+    from ..lint.determinism import check_all, check_chaos_all
+
+    reports = check_all(n_requests=args.n_requests, seed=args.seed, sanitize=args.sanitize)
+    if args.chaos:
+        reports = reports + check_chaos_all(
+            n_requests=args.n_requests, seed=args.seed, sanitize=args.sanitize
+        )
+    for report in reports:
+        print(report.describe())
+    mismatches = [r for r in reports if not r.identical]
+    print(
+        f"repro-analyze: determinism {len(reports) - len(mismatches)}/{len(reports)} "
+        "system(s) reproducible"
+    )
+    return 1 if mismatches else 0
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         return _main(argv)
@@ -287,6 +329,8 @@ def _main(argv: Optional[List[str]] = None) -> int:
     if args.command == "list-rules":
         _print_rules()
         return 0
+    if args.command == "determinism":
+        return _determinism(args)
     try:
         if args.command == "selfcheck":
             findings = analyze_paths([_package_root()])

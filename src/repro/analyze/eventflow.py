@@ -38,9 +38,8 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
-from ..lint.rules import SIM_CRITICAL_PACKAGES
 from .findings import AnalysisFinding, make_finding
-from .model import ClassInfo, FunctionInfo, Program
+from .model import SIM_CRITICAL_PACKAGES, ClassInfo, FunctionInfo, Program
 
 #: (method attr name, delay argument index, callback argument index)
 _SCHEDULE_METHODS = {

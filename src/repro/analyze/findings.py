@@ -1,8 +1,7 @@
 """Finding model for the whole-program analyzer.
 
-``repro-analyze`` findings mirror ``repro-lint``'s shape (path, line,
-rule id, severity, message) and add two things the whole-program setting
-needs:
+A finding is a path, line, rule id, severity and message, plus two
+things the whole-program setting needs:
 
 * a **symbol** — the dotted program entity the finding is about (a
   handler pair, a stream name, a class) — so a finding survives the file
@@ -11,10 +10,6 @@ needs:
   *excluding line numbers*, which is what the baseline ratchet keys on:
   moving code around does not churn ``analyze-baseline.json``; changing
   behaviour does.
-
-This module is deliberately standalone (no imports from the rest of
-``repro``) so ``repro.lint`` can import the rule registry without
-creating an import cycle.
 """
 
 from __future__ import annotations
@@ -34,10 +29,20 @@ class RuleMeta(NamedTuple):
     description: str
 
 
-#: The finding-id catalogue.  A0xx — analyzer hygiene; A1xx — RNG-stream
-#: flow; A2xx — policy/system/balancer contracts; A3xx — observer
-#: purity; A4xx — hot-path performance; A5xx — units flow; A6xx —
-#: fork safety; A001/A002 — event-flow.
+#: Packages bound by the pure-observer contract (A301).  ``rack`` is held
+#: to the same bar: its balancers draw only from named registry
+#: streams, so any wall-clock read or direct ``random``/``numpy.random``
+#: module call there is a determinism bug.  ``forensics`` is post-hoc
+#: (it only reads exported artifacts) but its stores must be
+#: byte-identical across re-collections.  ``observe`` is the module that
+#: builds, attaches and exports every run's observers.
+OBSERVER_PACKAGES = ("trace", "telemetry", "sweep", "rack", "forensics", "observe")
+
+#: The finding-id catalogue.  A0xx — analyzer hygiene, event-flow
+#: races and iteration/hash order; A1xx — RNG streams; A2xx —
+#: policy/system/balancer contracts; A3xx — observer purity and host
+#: time/entropy; A4xx — hot-path performance; A5xx — units; A6xx — fork
+#: safety and per-run state.
 ANALYSIS_RULES: Dict[str, RuleMeta] = {
     meta.id: meta
     for meta in (
@@ -76,6 +81,30 @@ ANALYSIS_RULES: Dict[str, RuleMeta] = {
             "insertion order, which external data controls.",
         ),
         RuleMeta(
+            "A003",
+            "unordered-iteration",
+            "error",
+            "modulerules",
+            "A for loop in simulation code iterates a set (a literal, a "
+            "set()/frozenset() call, or a name assigned one in the same "
+            "module), so dispatch order depends on hash order.  Integer "
+            "hashing is stable today, but one refactor to string keys "
+            "(hash-salted per process) silently breaks cross-run "
+            "determinism.  Iterate a sorted() view or an ordered "
+            "container (list / deque / dict).",
+        ),
+        RuleMeta(
+            "A004",
+            "builtin-hash-order",
+            "warning",
+            "modulerules",
+            "Simulation code calls the builtin hash(), which is salted "
+            "per process (PYTHONHASHSEED) for str/bytes: anything ordered "
+            "or steered by it (RSS-style steering, sort keys, bucket "
+            "choice) differs between processes with the same seed.  Use "
+            "a stable digest (e.g. zlib.crc32) or integer keys.",
+        ),
+        RuleMeta(
             "A101",
             "stream-foreign-prefix",
             "error",
@@ -107,6 +136,18 @@ ANALYSIS_RULES: Dict[str, RuleMeta] = {
             "stream registry's contents depend on runtime values).  Use "
             "a string literal, or a literal prefix plus a deterministic "
             "suffix built at one audited site.",
+        ),
+        RuleMeta(
+            "A104",
+            "direct-random",
+            "error",
+            "modulerules",
+            "A direct random.* / numpy.random.* call bypasses the seeded "
+            "stream registry.  All randomness must flow through "
+            "repro.sim.randomness.RngRegistry so that one root seed "
+            "reproduces the whole run and one component's draws never "
+            "perturb another's.  sim/randomness.py itself is exempt; in "
+            "observer packages the call is reported as A301 instead.",
         ),
         RuleMeta(
             "A201",
@@ -147,13 +188,40 @@ ANALYSIS_RULES: Dict[str, RuleMeta] = {
             "observer-impurity",
             "error",
             "purity",
-            "An observer module (repro/trace/, repro/telemetry/) calls a "
-            "wall clock, host-entropy source, direct RNG constructor, or "
-            "tracemalloc heap-tracking function.  Observers promise that "
-            "attaching them cannot change a run and that their output is "
-            "a pure function of simulated events; the self-profiler is "
-            "the one sanctioned exception and must pragma-tag every such "
-            "line so each impurity stays individually justified.",
+            "An observer module ("
+            + ", ".join(f"repro/{p}" for p in OBSERVER_PACKAGES)
+            + ") calls a wall clock, host-entropy source, direct RNG "
+            "constructor, or tracemalloc heap-tracking function.  "
+            "Observers promise that attaching them cannot change a run "
+            "and that their output is a pure function of simulated "
+            "events.  The sanctioned exceptions (the self-profiler's "
+            "timing lines, the sweep's worker-management timeouts) "
+            "pragma-tag every such line so each impurity stays "
+            "individually justified.",
+        ),
+        RuleMeta(
+            "A302",
+            "wall-clock",
+            "error",
+            "modulerules",
+            "Simulation code reads a wall clock (time.time, "
+            "time.perf_counter, time.sleep, datetime.now, ...), leaking "
+            "host time into simulated time: results stop depending only "
+            "on the seed, and two same-seed runs diverge.  Simulation "
+            "components read EventLoop.now; only driver code (CLI, "
+            "experiments) may time itself.  In observer packages the "
+            "call is reported as A301 instead.",
+        ),
+        RuleMeta(
+            "A303",
+            "nondeterministic-source",
+            "error",
+            "modulerules",
+            "A host entropy source (uuid.uuid1/uuid4, os.urandom, "
+            "os.getrandom, os.getpid, secrets.*) can never be replayed "
+            "from a seed.  Identifiers and samples must come from the "
+            "run's RngRegistry or a deterministic counter.  In observer "
+            "packages the call is reported as A301 instead.",
         ),
         RuleMeta(
             "A401",
@@ -278,6 +346,18 @@ ANALYSIS_RULES: Dict[str, RuleMeta] = {
             "via repro.sim.units so the unit is visible and checkable.",
         ),
         RuleMeta(
+            "A506",
+            "raw-unit-literal",
+            "error",
+            "modulerules",
+            "Simulation code multiplies or divides by a bare 1e6 / 1e9 "
+            "constant: almost always a hand-rolled seconds <-> "
+            "microseconds <-> nanoseconds conversion.  Unit bugs are "
+            "invisible in queueing output (everything just shifts); "
+            "convert through the repro.sim.units helpers, which name the "
+            "units at the call site.  sim/units.py itself is exempt.",
+        ),
+        RuleMeta(
             "A601",
             "unpicklable-spawn-payload",
             "error",
@@ -327,6 +407,31 @@ ANALYSIS_RULES: Dict[str, RuleMeta] = {
             "written anywhere outside the single-writer store.  Every "
             "resumable byte must go through write_json_atomic so a "
             "crash mid-write cannot corrupt a sweep.",
+        ),
+        RuleMeta(
+            "A605",
+            "mutable-default",
+            "error",
+            "modulerules",
+            "A function default is a mutable object (list/dict/set "
+            "literal or comprehension, or a list()/dict()/set()/deque()/"
+            "defaultdict()/... call).  It is created once and shared by "
+            "every call, so state from run N leaks into run N+1 and "
+            "silently breaks seed reproducibility.  Default to None and "
+            "build the object in the body.",
+        ),
+        RuleMeta(
+            "A606",
+            "handler-global-mutation",
+            "error",
+            "modulerules",
+            "Simulation code declares 'global', or an on_*/handle_* "
+            "event handler mutates a module-level name in place "
+            "(STATE[...] = ..., STATE.append(...)).  Behaviour then "
+            "depends on what ran earlier in the process, not earlier in "
+            "the simulation: back-to-back runs in one process diverge "
+            "from fresh runs.  Per-run state belongs on the "
+            "scheduler/server object.",
         ),
     )
 }

@@ -1,10 +1,10 @@
 """Whole-program model: symbol table, class hierarchy, and call graph.
 
-The single-file linter (:mod:`repro.lint`) sees one module at a time;
-everything in this package needs the *cross-module* picture: which class
-extends which, which handler calls which helper, which constructor a
-stream object is passed into.  :func:`build_program` parses a file set
-once into a :class:`Program` that the three analyses share.
+Most analyses in this package need the *cross-module* picture: which
+class extends which, which handler calls which helper, which constructor
+a stream object is passed into.  :func:`build_program` parses a file set
+once into a :class:`Program` that every analysis shares, the per-module
+rules included.
 
 Resolution is deliberately best-effort and *static*: attribute chains
 rooted at ``self`` resolve through the class hierarchy, bare names
@@ -18,9 +18,26 @@ from __future__ import annotations
 
 import ast
 import os
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..errors import AnalysisError
+
+#: Packages whose code runs *inside* simulated time (event-flow and
+#: contract scoping); wall clocks and host state are fine in driver code.
+SIM_CRITICAL_PACKAGES = frozenset(
+    {
+        "sim",
+        "core",
+        "policies",
+        "systems",
+        "server",
+        "workload",
+        "net",
+        "cluster",
+        "apps",
+        "faults",
+    }
+)
 
 
 def _module_name_for(path: str, root: Optional[str]) -> Tuple[str, bool]:
@@ -418,6 +435,24 @@ class Program:
             f"Program(modules={len(self.modules)}, classes={len(self.classes)}, "
             f"functions={len(self.functions)})"
         )
+
+
+def iter_python_files(paths: Iterable[str]) -> List[str]:
+    """Expand files/directories into a sorted list of ``.py`` files,
+    skipping hidden and ``__pycache__`` directories."""
+    collected: List[str] = []
+    for path in paths:
+        if os.path.isfile(path):
+            collected.append(path)
+        elif os.path.isdir(path):
+            for root, dirs, files in os.walk(path):
+                dirs[:] = sorted(d for d in dirs if not d.startswith((".", "__pycache__")))
+                for name in sorted(files):
+                    if name.endswith(".py"):
+                        collected.append(os.path.join(root, name))
+        else:
+            raise AnalysisError(f"no such file or directory: {path!r}")
+    return sorted(dict.fromkeys(collected))
 
 
 def build_program(paths: Sequence[str], root: Optional[str] = None) -> Program:

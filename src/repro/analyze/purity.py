@@ -1,19 +1,20 @@
 """Observer-purity analysis (finding A301).
 
-The trace, telemetry, and sweep packages are *observers*: attaching
-them must not change a run, and their output must be a pure function of
-simulated events.  :class:`repro.lint.rules.TracePurityRule` (R009)
-enforces the per-file half of that contract; this analysis is the
-whole-program twin that also covers heap-tracking calls and resolves
-names through each module's import table, so ``from time import
-perf_counter as clock`` does not slip past a textual check.
+The observer packages (:data:`repro.analyze.findings.OBSERVER_PACKAGES`:
+trace, telemetry, sweep, rack, forensics and the ``observe`` module)
+promise that attaching them cannot change a run, and that their output
+is a pure function of simulated events.  Names resolve through each
+module's import table (relative imports included), so ``from time
+import perf_counter as clock`` does not slip past a textual check.
 
 One finding:
 
-* **A301** — an observer module (``repro/trace/``, ``repro/telemetry/``,
-  ``repro/sweep/``, ``repro/rack/``, ``repro/forensics/``) calls a wall
-  clock, a host-entropy source, a direct RNG constructor, or a
-  ``tracemalloc`` heap-tracking function.
+* **A301** — an observer module calls a wall clock, a host-entropy
+  source, a direct RNG constructor, or a ``tracemalloc`` heap-tracking
+  function.  Outside the observer packages the same calls are the
+  module rules A302 / A303 / A104 (:mod:`repro.analyze.modulerules`),
+  which skip observer modules so each impure call gets exactly one
+  finding.
 
 The self-profiler (:mod:`repro.telemetry.profiler`) is one sanctioned
 exception — it deliberately measures the simulator's own wall time and
@@ -24,9 +25,6 @@ an explicit ``# repro-analyze: disable=A301`` pragma, so every
 allowlisted impurity stays visible and individually justified.
 ``tracemalloc.is_tracing()`` is not flagged: it is a pure query used to
 guard start/stop, not a measurement.
-
-The forbidden-name sets are imported from the lint rules rather than
-duplicated, so the two layers can never drift apart.
 """
 
 from __future__ import annotations
@@ -34,15 +32,35 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from ..lint.rules import NondeterministicSourceRule, TracePurityRule, WallClockRule
-from .findings import AnalysisFinding, make_finding
-from .model import ModuleInfo, Program
+from .findings import OBSERVER_PACKAGES, AnalysisFinding, make_finding
+from .model import ModuleInfo, Program, iter_python_files
+from .pragmas import PRAGMA_RE, iter_comments, pragma_ids
 
-_WALL_CLOCK = WallClockRule._FORBIDDEN
-_ENTROPY = NondeterministicSourceRule._FORBIDDEN
-_ENTROPY_PREFIXES = NondeterministicSourceRule._FORBIDDEN_PREFIXES
-_RNG_PREFIXES = TracePurityRule._RNG_PREFIXES
-_OBSERVER_PACKAGES = TracePurityRule._OBSERVER_PACKAGES
+#: Host wall-clock reads and sleeps (A301 in observers, A302 elsewhere).
+WALL_CLOCK = frozenset(
+    {
+        "time.time",
+        "time.time_ns",
+        "time.monotonic",
+        "time.monotonic_ns",
+        "time.perf_counter",
+        "time.perf_counter_ns",
+        "time.process_time",
+        "time.process_time_ns",
+        "time.sleep",
+        "datetime.datetime.now",
+        "datetime.datetime.utcnow",
+        "datetime.datetime.today",
+        "datetime.date.today",
+    }
+)
+
+#: Host entropy sources (A301 in observers, A303 elsewhere).
+ENTROPY = frozenset({"uuid.uuid1", "uuid.uuid4", "os.urandom", "os.getpid", "os.getrandom"})
+ENTROPY_PREFIXES = ("secrets.",)
+
+#: Direct module-level RNG calls (A301 in observers, A104 elsewhere).
+RNG_PREFIXES = ("random.", "numpy.random.")
 
 #: ``tracemalloc`` calls that start, stop, or read a heap measurement.
 #: ``is_tracing`` is deliberately absent (pure guard query).
@@ -58,10 +76,10 @@ _HEAP_TRACKING = frozenset(
 )
 
 
-def _observer_package(module: ModuleInfo) -> str:
+def observer_package(module: ModuleInfo) -> str:
     """The observer package ``module`` belongs to, or ``""``."""
     posix = module.path.replace("\\", "/")
-    for package in _OBSERVER_PACKAGES:
+    for package in OBSERVER_PACKAGES:
         if module.package == package or f"/{package}/" in posix:
             return package
     return ""
@@ -69,11 +87,11 @@ def _observer_package(module: ModuleInfo) -> str:
 
 def _classify(dotted: str) -> str:
     """Impurity kind for a resolved dotted callee name, or ``""``."""
-    if dotted in _WALL_CLOCK:
+    if dotted in WALL_CLOCK:
         return "wall-clock read"
-    if dotted in _ENTROPY or dotted.startswith(_ENTROPY_PREFIXES):
+    if dotted in ENTROPY or dotted.startswith(ENTROPY_PREFIXES):
         return "host-entropy source"
-    if dotted.startswith(_RNG_PREFIXES):
+    if dotted.startswith(RNG_PREFIXES):
         return "direct RNG draw"
     if dotted in _HEAP_TRACKING:
         return "heap-tracking call"
@@ -98,10 +116,10 @@ def _scoped_calls(tree: ast.AST) -> Iterator[Tuple[ast.Call, str]]:
 
 
 def analyze_purity(program: Program) -> List[AnalysisFinding]:
-    """Flag impure calls in observer (trace/telemetry) modules."""
+    """Flag impure calls in observer modules."""
     findings: List[AnalysisFinding] = []
     for module in program.modules.values():
-        package = _observer_package(module)
+        package = observer_package(module)
         if not package:
             continue
         for call, scope in _scoped_calls(module.tree):
@@ -127,53 +145,29 @@ def analyze_purity(program: Program) -> List[AnalysisFinding]:
     return findings
 
 
-#: (pragma tool token, purity rule id) pairs the audit looks for.
-_PURITY_PRAGMAS = (("repro-lint", "R009"), ("repro-analyze", "A301"))
-
-
 def purity_pragma_ledger(paths: Sequence[str]) -> List[Dict[str, object]]:
     """Every sanctioned observer impurity, as an auditable ledger.
 
-    Walks the given trees for ``R009`` (lint) and ``A301`` (analyzer)
-    suppression pragmas — each one a line where an observer module is
-    *allowed* to touch the wall clock or host entropy — and returns
-    ``{path, line, tool, rule, code}`` entries sorted by location.  The
-    point is visibility: the purity contract is only as strong as its
-    exception list, so ``repro-analyze scan --purity-audit`` prints the
-    full list instead of letting exceptions hide in comments.
+    Walks the given trees for ``A301`` suppression pragmas — each one a
+    line where an observer module is *allowed* to touch the wall clock
+    or host entropy — and returns ``{path, line, rule, code}`` entries
+    sorted by location.  The point is visibility: the purity contract is
+    only as strong as its exception list, so ``repro-analyze scan
+    --purity-audit`` prints the full list instead of letting exceptions
+    hide in comments.
     """
-    from ..lint.pragmas import _pragma_re, iter_comments
-    from ..lint.runner import iter_python_files
-
-    patterns = [(tool, rule, _pragma_re(tool)) for tool, rule in _PURITY_PRAGMAS]
     entries: List[Dict[str, object]] = []
     for path in iter_python_files(paths):
         with open(path, "r", encoding="utf-8") as fp:
             source = fp.read()
         lines = source.splitlines()
         for lineno, comment in iter_comments(source):
-            for tool, rule, pattern in patterns:
-                match = pattern.search(comment)
-                if match is None:
-                    continue
-                ids = {
-                    part.strip().upper()
-                    for part in match.group("ids").split(",")
-                    if part.strip()
-                }
-                if rule not in ids:
-                    continue
-                code = ""
-                if 1 <= lineno <= len(lines):
-                    code = lines[lineno - 1].split("#", 1)[0].strip()
-                entries.append(
-                    {
-                        "path": path,
-                        "line": lineno,
-                        "tool": tool,
-                        "rule": rule,
-                        "code": code,
-                    }
-                )
-    entries.sort(key=lambda e: (e["path"], e["line"], e["tool"]))
+            match = PRAGMA_RE.search(comment)
+            if match is None or "A301" not in pragma_ids(match):
+                continue
+            code = ""
+            if 1 <= lineno <= len(lines):
+                code = lines[lineno - 1].split("#", 1)[0].strip()
+            entries.append({"path": path, "line": lineno, "rule": "A301", "code": code})
+    entries.sort(key=lambda e: (e["path"], e["line"]))
     return entries

@@ -1,12 +1,11 @@
 """Analysis driver: build the program, run analyses, honour pragmas.
 
-Mirrors :mod:`repro.lint.runner` one level up: where the linter loops
-*rules over one file*, this runner loops *whole-program analyses over
-one file set*.  Suppression comments use the shared pragma grammar with
-the ``repro-analyze`` token; unknown-id and misplaced pragmas are not
-fatal here (the tree under analysis may be broken in exactly the ways
-we are reporting) — they surface as A000 findings instead, as do stale
-pragmas that absorb no finding.
+Every analysis runs over one shared :class:`~repro.analyze.model.Program`.
+Suppression comments use the one ``repro-analyze`` pragma grammar
+(:mod:`repro.analyze.pragmas`); unknown-id and misplaced pragmas are
+not fatal here (the tree under analysis may be broken in exactly the
+ways we are reporting) — they surface as A000 findings instead, as do
+stale pragmas that absorb no finding.
 """
 
 from __future__ import annotations
@@ -14,14 +13,14 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..errors import AnalysisError
-from ..lint.pragmas import PragmaSuppressions
-from ..lint.runner import iter_python_files
 from .contracts import analyze_contracts
 from .eventflow import analyze_eventflow
 from .findings import ANALYSIS_RULES, AnalysisFinding, make_finding
 from .forksafety import analyze_forksafety
 from .hotpath import analyze_hotpath
-from .model import Program, build_program
+from .model import Program, build_program, iter_python_files
+from .modulerules import analyze_modules
+from .pragmas import PragmaSuppressions
 from .purity import analyze_purity
 from .rngflow import analyze_rngflow
 from .unitsflow import analyze_unitsflow
@@ -30,6 +29,7 @@ from .unitsflow import analyze_unitsflow
 #: these names, but running only the analyses that can produce selected
 #: ids keeps big scans cheap.
 ANALYSES = {
+    "modulerules": analyze_modules,
     "eventflow": analyze_eventflow,
     "rngflow": analyze_rngflow,
     "contracts": analyze_contracts,
@@ -76,13 +76,10 @@ def analyze_program(
     for finding in raw:
         by_path.setdefault(finding.path, []).append(finding)
 
-    known_ids = list(ANALYSIS_RULES)
     kept: List[AnalysisFinding] = []
     for module in program.modules.values():
         path = module.path
-        pragmas = PragmaSuppressions(
-            module.source, "repro-analyze", known_ids, on_unknown="collect"
-        )
+        pragmas = PragmaSuppressions(module.source)
         for finding in by_path.pop(path, []):
             if not pragmas.is_suppressed(finding.line, finding.rule_id):
                 kept.append(finding)

@@ -1,16 +1,14 @@
-"""repro.lint — simulation-correctness analyzer.
+"""repro.lint — runtime simulation-correctness checks.
 
-Three layers, one goal: keep the discrete-event simulation *provably*
-deterministic and conservation-correct so the paper's queueing results
-can be trusted.
+Two checks that need a running simulation, so they are not static
+rules (those live in :mod:`repro.analyze`):
 
-* :mod:`repro.lint.rules` / :mod:`repro.lint.runner` — AST lint rules
-  (``repro-lint`` CLI) flagging nondeterminism and unit bugs at rest;
 * :mod:`repro.lint.sanitizer` — :class:`SimSanitizer`, an opt-in runtime
   invariant checker hooked into the event loop;
-* :mod:`repro.lint.determinism` — the twice-run same-seed digest check.
+* :mod:`repro.lint.determinism` — the twice-run same-seed digest check
+  (``repro-analyze determinism``).
 
-See ``docs/lint.md`` for the rule catalogue and suppression syntax.
+See ``docs/lint.md``.
 """
 
 from .determinism import (
@@ -20,24 +18,9 @@ from .determinism import (
     check_system,
     digest_run,
 )
-from .pragmas import FILE_PRAGMA_WINDOW, PragmaError, PragmaSuppressions, scan_foreign_pragmas
-from .rules import ALL_RULES, RULES_BY_ID, Rule
-from .runner import Finding, has_errors, lint_file, lint_paths, lint_source
 from .sanitizer import SimSanitizer
 
 __all__ = [
-    "ALL_RULES",
-    "RULES_BY_ID",
-    "Rule",
-    "FILE_PRAGMA_WINDOW",
-    "PragmaError",
-    "PragmaSuppressions",
-    "scan_foreign_pragmas",
-    "Finding",
-    "has_errors",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
     "SimSanitizer",
     "DeterminismReport",
     "RunDigest",

@@ -7,7 +7,7 @@ of a correct simulator must produce byte-identical digests; any
 divergence means hidden state (wall clock, unseeded RNG, hash-order
 iteration, cross-run leakage) reached a scheduling decision.
 
-Exposed as ``repro-lint --determinism`` and as a pytest suite
+Exposed as ``repro-analyze determinism`` and as a pytest suite
 (``tests/lint/test_determinism.py``).
 """
 

@@ -1,8 +1,8 @@
 """Runtime invariant sanitizer for the discrete-event simulation.
 
-:class:`SimSanitizer` is the dynamic half of ``repro.lint``: where the
-AST rules catch nondeterminism *patterns*, the sanitizer catches live
-invariant breakage while a simulation runs.  It hooks into
+:class:`SimSanitizer` is the dynamic twin of :mod:`repro.analyze`: where
+the static rules catch nondeterminism *patterns*, the sanitizer catches
+live invariant breakage while a simulation runs.  It hooks into
 :class:`~repro.sim.engine.EventLoop` as an observer (see
 :meth:`~repro.sim.engine.EventLoop.attach_observer`) and is called
 around every executed event; when disabled (the default — no observer

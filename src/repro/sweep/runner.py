@@ -248,9 +248,9 @@ def _run_selftest_cell(cell: Cell) -> CellResult:
     if mode == "crash":
         raise RuntimeError(f"selftest cell {cell.cell_id} crashed on request")
     if mode == "hang":
-        time.sleep(3600.0)  # repro-lint: disable=R002,R009  # repro-analyze: disable=A301
+        time.sleep(3600.0)  # repro-analyze: disable=A301
     if mode == "sleep" and duration_ms > 0:
-        time.sleep(duration_ms / 1e3)  # repro-lint: disable=R002,R009  # repro-analyze: disable=A301
+        time.sleep(duration_ms / 1e3)  # repro-analyze: disable=A301
     elif mode not in ("ok", "sleep"):
         raise ConfigurationError(f"unknown selftest mode {mode!r}")
     value = float((cell.seed % 1_000) + params["index"])

@@ -13,9 +13,8 @@ import textwrap
 
 import pytest
 
-from repro.analyze.model import build_program
+from repro.analyze.model import build_program, iter_python_files
 from repro.analyze.runner import analyze_paths
-from repro.lint.runner import iter_python_files
 
 
 @pytest.fixture

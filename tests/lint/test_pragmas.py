@@ -1,69 +1,56 @@
-"""The shared suppression-pragma grammar (:mod:`repro.lint.pragmas`) and
-its R010 stale-suppression surface in the linter."""
+"""The suppression-pragma grammar (:mod:`repro.analyze.pragmas`) and its
+A000 hygiene surface."""
 
 import textwrap
 
 import pytest
 
-from repro.errors import LintError
-from repro.lint.pragmas import (
-    FILE_PRAGMA_WINDOW,
-    PragmaSuppressions,
-    iter_comments,
-    scan_foreign_pragmas,
-)
-from repro.lint.runner import lint_source
-
-KNOWN = ["R001", "R002", "A102"]
+from repro.analyze.pragmas import FILE_PRAGMA_WINDOW, PragmaSuppressions, iter_comments
 
 
-def parse(source, tool="repro-lint", known=KNOWN, on_unknown="raise"):
-    return PragmaSuppressions(
-        textwrap.dedent(source), tool, known, on_unknown=on_unknown
-    )
+def parse(source):
+    return PragmaSuppressions(textwrap.dedent(source))
 
 
 class TestParsing:
     def test_line_pragma(self):
-        p = parse("x = 1  # repro-lint: disable=R001\n")
-        assert p.is_suppressed(1, "R001")
-        assert not p.is_suppressed(1, "R002")
-        assert not p.is_suppressed(2, "R001")
+        p = parse("x = 1  # repro-analyze: disable=A104\n")
+        assert p.is_suppressed(1, "A104")
+        assert not p.is_suppressed(1, "A302")
+        assert not p.is_suppressed(2, "A104")
 
     def test_multiple_ids_one_pragma(self):
-        p = parse("x = 1  # repro-lint: disable=R001,R002\n")
-        assert p.is_suppressed(1, "R001")
-        assert p.is_suppressed(1, "R002")
+        p = parse("x = 1  # repro-analyze: disable=A104,A302\n")
+        assert p.is_suppressed(1, "A104")
+        assert p.is_suppressed(1, "A302")
 
     def test_case_insensitive_ids(self):
-        p = parse("x = 1  # repro-lint: disable=r001\n")
-        assert p.is_suppressed(1, "R001")
+        p = parse("x = 1  # repro-analyze: disable=a104\n")
+        assert p.is_suppressed(1, "A104")
 
     def test_file_wide_pragma(self):
-        p = parse("# repro-lint: disable-file=R001\nx = 1\n")
-        assert p.is_suppressed(40, "R001")
+        p = parse("# repro-analyze: disable-file=A104\nx = 1\n")
+        assert p.is_suppressed(40, "A104")
 
     def test_disable_all(self):
-        p = parse("x = 1  # repro-lint: disable=all\n")
-        assert p.is_suppressed(1, "R001")
-        assert p.is_suppressed(1, "R002")
+        p = parse("x = 1  # repro-analyze: disable=all\n")
+        assert p.is_suppressed(1, "A104")
+        assert p.is_suppressed(1, "A302")
 
     def test_tool_token_is_namespaced(self):
-        """A repro-analyze pragma does not suppress repro-lint findings."""
-        p = parse("x = 1  # repro-analyze: disable=R001\n")
-        assert not p.is_suppressed(1, "R001")
+        """Another tool's pragma neither suppresses nor trips hygiene."""
+        p = parse("x = 1  # other-lint: disable=A104\n")
+        assert not p.is_suppressed(1, "A104")
+        assert p.errors == []
 
     def test_analyze_tool_parses_its_own(self):
-        p = parse(
-            "x = 1  # repro-analyze: disable=A102\n",
-            tool="repro-analyze",
-        )
+        p = parse("x = 1  # repro-analyze: disable=A102\n")
         assert p.is_suppressed(1, "A102")
 
     def test_pragma_in_docstring_is_inert(self):
-        p = parse('"""# repro-lint: disable=R001"""\nx = 1\n')
-        assert not p.is_suppressed(1, "R001")
-        assert not p.is_suppressed(2, "R001")
+        p = parse('"""# repro-analyze: disable=A104"""\nx = 1\n')
+        assert not p.is_suppressed(1, "A104")
+        assert not p.is_suppressed(2, "A104")
 
     def test_iter_comments_skips_strings(self):
         comments = list(iter_comments('s = "# not a comment"\n# yes\n'))
@@ -71,124 +58,92 @@ class TestParsing:
 
 
 class TestUnknownIds:
-    def test_raise_mode(self):
-        with pytest.raises(LintError, match="unknown rule id"):
-            parse("x = 1  # repro-lint: disable=R999\n")
-
     def test_collect_mode_records_error(self):
-        p = parse("x = 1  # repro-lint: disable=R999\n", on_unknown="collect")
+        p = parse("x = 1  # repro-analyze: disable=A999\n")
         assert len(p.errors) == 1
-        assert "R999" in p.errors[0].message
+        assert "A999" in p.errors[0].message
         assert p.errors[0].line == 1
 
     def test_collect_mode_keeps_valid_ids(self):
-        p = parse(
-            "x = 1  # repro-lint: disable=R999,R001\n", on_unknown="collect"
-        )
-        assert p.is_suppressed(1, "R001")
+        p = parse("x = 1  # repro-analyze: disable=A999,A104\n")
+        assert p.is_suppressed(1, "A104")
         assert len(p.errors) == 1
-
-    def test_late_file_pragma_raise(self):
-        src = "\n" * (FILE_PRAGMA_WINDOW + 5) + "# repro-lint: disable-file=R001\n"
-        with pytest.raises(LintError, match="first 10 lines"):
-            parse(src)
 
     def test_late_file_pragma_collect(self):
-        src = "\n" * (FILE_PRAGMA_WINDOW + 5) + "# repro-lint: disable-file=R001\n"
-        p = parse(src, on_unknown="collect")
+        src = "\n" * (FILE_PRAGMA_WINDOW + 5) + "# repro-analyze: disable-file=A104\n"
+        p = parse(src)
         assert len(p.errors) == 1
-        assert not p.is_suppressed(1, "R001")
+        assert not p.is_suppressed(1, "A104")
 
 
 class TestUsageLedger:
     def test_unused_line_pragma_is_stale(self):
-        p = parse("x = 1  # repro-lint: disable=R001\n")
-        assert p.unused() == [(1, "R001")]
+        p = parse("x = 1  # repro-analyze: disable=A104\n")
+        assert p.unused() == [(1, "A104")]
 
     def test_used_pragma_is_not_stale(self):
-        p = parse("x = 1  # repro-lint: disable=R001\n")
-        p.is_suppressed(1, "R001")
+        p = parse("x = 1  # repro-analyze: disable=A104\n")
+        p.is_suppressed(1, "A104")
         assert p.unused() == []
 
     def test_file_wide_stale_reports_line_zero(self):
-        p = parse("# repro-lint: disable-file=R002\nx = 1\n")
-        assert p.unused() == [(0, "R002")]
+        p = parse("# repro-analyze: disable-file=A302\nx = 1\n")
+        assert p.unused() == [(0, "A302")]
 
     def test_checked_ids_limit_staleness(self):
         """A pragma for a rule that never ran is not judged stale."""
-        p = parse("x = 1  # repro-lint: disable=R001\n")
-        assert p.unused(checked_ids=["R002"]) == []
-        assert p.unused(checked_ids=["R001"]) == [(1, "R001")]
+        p = parse("x = 1  # repro-analyze: disable=A104\n")
+        assert p.unused(checked_ids=["A302"]) == []
+        assert p.unused(checked_ids=["A104"]) == [(1, "A104")]
 
     def test_mark_used_explicit(self):
-        p = parse("x = 1  # repro-lint: disable=R001\n")
-        p.mark_used(1, "R001")
+        p = parse("x = 1  # repro-analyze: disable=A104\n")
+        p.mark_used(1, "A104")
         assert p.unused() == []
 
 
-class TestScanForeignPragmas:
-    def test_unknown_foreign_id(self):
-        errors = scan_foreign_pragmas(
-            "x = 1  # repro-analyze: disable=A999\n", "repro-analyze", ["A102"]
-        )
-        assert len(errors) == 1
-        assert "A999" in errors[0].message
-
-    def test_valid_foreign_pragma_is_clean(self):
-        errors = scan_foreign_pragmas(
-            "x = 1  # repro-analyze: disable=A102\n", "repro-analyze", ["A102"]
-        )
-        assert errors == []
-
-
 class TestStaleSuppressionRule:
-    """R010: the linter's stale/unknown-suppression surface."""
+    """A000: stale and unknown suppressions, through a full scan."""
 
-    def lint(self, source, **kw):
-        return lint_source(
-            textwrap.dedent(source), path="src/repro/sim/fixture.py", **kw
-        )
+    @pytest.fixture
+    def lint(self, analyze):
+        def _lint(source, select=None):
+            return analyze({"src/repro/sim/fixture.py": source}, select=select)
 
-    def test_stale_pragma_fires_r010(self):
-        findings = self.lint("x = 1  # repro-lint: disable=R001\n")
-        assert [f.rule_id for f in findings] == ["R010"]
+        return _lint
+
+    def test_stale_pragma_fires_a000(self, lint):
+        findings = lint("x = 1  # repro-analyze: disable=A104\n")
+        assert [f.rule_id for f in findings] == ["A000"]
         assert "stale suppression" in findings[0].message
 
-    def test_live_pragma_is_clean(self):
-        findings = self.lint(
+    def test_live_pragma_is_clean(self, lint):
+        findings = lint(
             """
             import random
             def pick():
-                return random.random()  # repro-lint: disable=R001
+                return random.random()  # repro-analyze: disable=A104
             """
         )
         assert findings == []
 
-    def test_unknown_analyze_pragma_fires_r010(self):
-        findings = self.lint("x = 1  # repro-analyze: disable=A999\n")
-        assert [f.rule_id for f in findings] == ["R010"]
+    def test_unknown_analyze_pragma_fires_a000(self, lint):
+        findings = lint("x = 1  # repro-analyze: disable=A999\n")
+        assert [f.rule_id for f in findings] == ["A000"]
         assert "A999" in findings[0].message
 
-    def test_valid_analyze_pragma_not_judged_by_lint(self):
-        """Staleness of repro-analyze pragmas is the analyzer's call (it
-        needs the whole-program run); the linter only checks the ids."""
-        findings = self.lint("x = 1  # repro-analyze: disable=A102\n")
-        assert findings == []
-
-    def test_select_excludes_staleness_of_unran_rules(self):
-        findings = self.lint(
-            "x = 1  # repro-lint: disable=R001\n", select=["R002", "R010"]
+    def test_select_excludes_staleness_of_unran_rules(self, lint):
+        findings = lint(
+            "x = 1  # repro-analyze: disable=A104\n", select=["A302", "A000"]
         )
         assert findings == []
 
-    def test_r010_suppressible(self):
-        findings = self.lint(
-            "x = 1  # repro-lint: disable=R001,R010\n"
-        )
+    def test_a000_suppressible(self, lint):
+        findings = lint("x = 1  # repro-analyze: disable=A104,A000\n")
         assert findings == []
 
-    def test_file_wide_stale_anchors_line_one(self):
-        findings = self.lint("# repro-lint: disable-file=R002\nx = 1\n")
-        assert [f.rule_id for f in findings] == ["R010"]
+    def test_file_wide_stale_anchors_line_one(self, lint):
+        findings = lint("# repro-analyze: disable-file=A302\nx = 1\n")
+        assert [f.rule_id for f in findings] == ["A000"]
         assert findings[0].line == 1
         assert "file-wide" in findings[0].message

@@ -2,9 +2,13 @@
 must be caught, and a clean run must pass untouched."""
 
 import heapq
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.core.darc import DarcScheduler
 from repro.errors import SanitizerViolation, SimulationError
 from repro.lint.sanitizer import SimSanitizer
@@ -201,3 +205,19 @@ class TestViolationStructure:
         assert "[request-conservation]" in message
         assert "t=12.500us" in message
         assert "received=4" in message
+
+
+class TestImportCost:
+    def test_sanitizer_import_loads_no_analyzer(self):
+        """Observed runs import the sanitizer; they must not pay for
+        the static analyzer."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        code = (
+            "import sys, repro.lint.sanitizer; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.analyze')))"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out.strip() == "[]"
