@@ -18,15 +18,15 @@ import numpy as np
 import pytest
 from conftest import run_single
 
-from repro.analysis.replication import replicate
 from repro.analysis.slo import overall_slowdown_metric
-from repro.experiments.common import run_once
+from repro.experiments.common import run_once, run_sweep
 from repro.metrics.recorder import Recorder
 from repro.metrics.summary import RunSummary
 from repro.server.config import ServerConfig
 from repro.server.server import Server
 from repro.sim.engine import EventLoop
 from repro.sim.randomness import RngRegistry
+from repro.sweep.stats import mean_ci
 from repro.systems.persephone import PersephoneCfcfsSystem, PersephoneSystem
 from repro.workload.arrivals import BurstyArrivals, PoissonArrivals
 from repro.workload.distributions import Exponential, Fixed, LogNormal
@@ -129,21 +129,20 @@ def test_bursty_arrivals(benchmark, bench_n_requests):
 def test_seed_variance(benchmark):
     """Error bars on the headline: the DARC-vs-c-FCFS gap dwarfs seed noise."""
 
+    def slowdown_ci(system):
+        runs = run_sweep(
+            system, high_bimodal(), [UTILIZATION], n_requests=20_000,
+            seeds=(1, 1001, 2001, 3001, 4001),
+        )
+        return mean_ci([overall_slowdown_metric(r) for r in runs])
+
     def run_reps():
-        darc = replicate(
-            PersephoneSystem(n_workers=N_WORKERS, oracle=True),
-            high_bimodal(), UTILIZATION, n_seeds=5, n_requests=20_000,
-        )
-        cfcfs = replicate(
-            PersephoneCfcfsSystem(n_workers=N_WORKERS),
-            high_bimodal(), UTILIZATION, n_seeds=5, n_requests=20_000,
-        )
+        darc = slowdown_ci(PersephoneSystem(n_workers=N_WORKERS, oracle=True))
+        cfcfs = slowdown_ci(PersephoneCfcfsSystem(n_workers=N_WORKERS))
         return darc, cfcfs
 
     darc, cfcfs = run_single(benchmark, run_reps)
     print()
-    print(darc.describe(overall_slowdown_metric, "DARC p99.9 slowdown"))
-    print(cfcfs.describe(overall_slowdown_metric, "c-FCFS p99.9 slowdown"))
-    _, darc_high = darc.confidence_interval(overall_slowdown_metric)
-    cfcfs_low, _ = cfcfs.confidence_interval(overall_slowdown_metric)
-    assert darc_high < cfcfs_low  # non-overlapping CIs
+    print(f"DARC p99.9 slowdown: {darc.format(2)} [{darc.low:.2f}, {darc.high:.2f}]")
+    print(f"c-FCFS p99.9 slowdown: {cfcfs.format(2)} [{cfcfs.low:.2f}, {cfcfs.high:.2f}]")
+    assert darc.high < cfcfs.low  # non-overlapping CIs

@@ -43,7 +43,7 @@ def demo_capacity(n_requests: int) -> None:
     ]
     capacities = {}
     for system in systems:
-        sweep = run_sweep(system, spec, LOADS, n_requests=n_requests, seed=6)
+        sweep = run_sweep(system, spec, LOADS, n_requests=n_requests, seeds=(6,))
         capacities[system.name] = capacity_at_slo(sweep, SLO, overall_slowdown_metric)
         row = "  ".join(
             f"{overall_slowdown_metric(r):9.1f}x" for r in sweep

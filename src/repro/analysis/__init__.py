@@ -17,7 +17,6 @@ from .queueing import (
     partition_stability,
     utilization,
 )
-from .replication import Replication, replicate
 from .slo import (
     capacity_at_slo,
     capacity_ratio,
@@ -33,8 +32,6 @@ __all__ = [
     "predict_partition",
     "reservation_meets_slo",
     "spec_inputs",
-    "Replication",
-    "replicate",
     "mm1_mean_wait",
     "mm1_mean_sojourn",
     "mmc_mean_wait",

@@ -132,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="run the experiment's grid as N parallel worker processes "
-        "via the repro-sweep orchestrator (default 1 = in-process)",
+        "via the repro-sweep orchestrator (needs --seeds; default 1 = "
+        "in-process)",
     )
     parser.add_argument(
         "--sweep-dir",
@@ -247,6 +248,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.jobs > 1 and args.seeds is None and args.experiment != "tables":
+        print(
+            "error: --jobs needs --seeds (pooled cells run the derived "
+            "per-cell seeds of --seeds, never the raw --seed)",
+            file=sys.stderr,
+        )
+        return 2
     seeds = None
     if args.seeds is not None:
         from .sweep.cells import parse_seeds
@@ -262,7 +270,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         start = time.time()
         if args.jobs > 1 and name != "tables":
             print(f"=== {name} (pooled) ===")
-            _run_pooled(name, n, seeds or (args.seed,), args.jobs, args.sweep_dir)
+            _run_pooled(name, n, seeds, args.jobs, args.sweep_dir)
             print()
             continue
         sanitize = "shadow" if args.shadow else args.sanitize

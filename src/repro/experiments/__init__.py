@@ -1,8 +1,9 @@
 """Experiment drivers — one module per paper figure/table.
 
-Each ``figureN`` module exposes ``run(...)`` returning a structured
-result and ``render(result)`` producing the text analogue of the paper's
-plot.  Scale knobs (``n_requests``, ``utilizations``) default to values
+Each ``figureN`` module declares its grid once as ``EXPERIMENT`` (an
+:class:`~repro.sweep.planner.ExperimentSpec` the sweep planner reads) and
+exposes ``run(...)`` returning a structured result and
+``render(result)`` producing the text analogue of the paper's plot.  Scale knobs (``n_requests``, ``utilizations``) default to values
 that keep pure-Python runtimes reasonable; crank them up for tighter
 tails.
 """

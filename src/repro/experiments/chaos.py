@@ -27,13 +27,19 @@ from ..analysis.tables import render_series, render_table
 from ..sweep.stats import mean_ci
 from ..faults.plan import FaultPlan
 from ..faults.runner import ChaosResult, run_chaos
+from ..sweep.planner import ExperimentSpec
 from ..systems.base import SystemModel
 from ..systems.persephone import PersephoneSystem
 from ..systems.shenango import ShenangoSystem
 from ..systems.shinjuku import ShinjukuSystem
-from ..workload.presets import high_bimodal
+from ..workload.presets import by_name, high_bimodal
 from ..workload.resilience import RetryPolicy
-from .common import collect_forensics, metrics_target, trace_target
+from .common import (
+    collect_forensics,
+    metrics_target,
+    replicate_seed,
+    trace_target,
+)
 
 N_WORKERS = 8
 UTILIZATION = 0.70
@@ -42,6 +48,7 @@ UTILIZATION = 0.70
 CRASH_WORKERS = (0, 1)
 #: SLO for goodput/TTR accounting: 10x the long requests' mean service.
 SLO_LATENCY_US = 1000.0
+WORKLOAD = "high_bimodal"
 
 
 def default_systems() -> List[SystemModel]:
@@ -158,8 +165,20 @@ def episode_plan(n_requests: int, spec=None):
     return plan, crash_at, recover_at, window_us
 
 
+EXPERIMENT = ExperimentSpec(
+    name="chaos",
+    kind="chaos",
+    workloads=(WORKLOAD,),
+    spec_for=by_name,
+    systems_for=lambda workload: default_systems(),
+    utilizations=(UTILIZATION,),
+    n_requests=20_000,
+    table_metrics=("ttr_us", "violation_us", "failures", "throughput"),
+)
+
+
 def run(
-    n_requests: int = 20_000,
+    n_requests: int = EXPERIMENT.n_requests,
     seed: int = 1,
     systems: Optional[List[SystemModel]] = None,
     retry: Optional[RetryPolicy] = None,
@@ -181,9 +200,9 @@ def run(
         systems = default_systems()
     if retry is None:
         retry = default_retry()
-    spec = high_bimodal()
+    spec = EXPERIMENT.spec_for(WORKLOAD)
     plan, crash_at, recover_at, window_us = episode_plan(n_requests, spec)
-    replicates: Sequence[int] = seeds if seeds else (seed,)
+    replicates: Sequence[int] = seeds or (seed,)
 
     result = ChaosExperimentResult(crash_at, recover_at, window_us)
     result.n_replicates = len(replicates)
@@ -192,21 +211,6 @@ def run(
             "ttr_us": [], "violation_us": [], "failures": []
         }
         for index, replicate in enumerate(replicates):
-            if seeds is None:
-                run_seed = seed
-            else:
-                from ..sweep.cells import derive_seed
-
-                run_seed = derive_seed(
-                    "chaos",
-                    {
-                        "system": system.name,
-                        "workload": "high_bimodal",
-                        "rho": UTILIZATION,
-                        "n_requests": n_requests,
-                    },
-                    replicate,
-                )
             suffix = () if len(replicates) == 1 else (f"seed{replicate}",)
             res = run_chaos(
                 system,
@@ -214,7 +218,11 @@ def run(
                 UTILIZATION,
                 plan,
                 n_requests=n_requests,
-                seed=run_seed,
+                seed=replicate_seed(
+                    EXPERIMENT, replicate, seeds, system=system.name,
+                    workload=WORKLOAD, rho=UTILIZATION,
+                    n_requests=n_requests,
+                ),
                 retry=retry,
                 window_us=window_us,
                 slo_latency_us=SLO_LATENCY_US,

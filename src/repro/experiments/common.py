@@ -7,6 +7,11 @@ workload, load) point, runs it to completion, and returns a
 the one single-server run path: steady Poisson load, a phased schedule
 (Fig. 7) or a recorded trace replay.
 
+:func:`sweep_driver` is the one loop the load-sweep drivers run through
+(each declares only its :class:`~repro.sweep.planner.ExperimentSpec`,
+findings and rendering), and :func:`replicate_seed` is the one rule for
+the seed a replicate of a grid point runs under.
+
 Loads are expressed as *utilization* — a fraction of the workload's peak
 rate ``W / E[S]`` — which is how the paper's x-axes are scaled.
 """
@@ -15,8 +20,7 @@ from __future__ import annotations
 
 import os
 import re
-import warnings
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .. import observe
 from ..errors import ConfigurationError
@@ -26,6 +30,7 @@ from ..metrics.utilization import UtilizationReport
 from ..server.server import Server
 from ..sim.engine import EventLoop
 from ..sim.randomness import RngRegistry
+from ..sweep.planner import ExperimentSpec
 from ..systems.base import SystemModel
 from ..workload.generator import start_load
 from ..workload.phases import Phase
@@ -252,138 +257,148 @@ def collect_forensics(
     return collect_directory(forensics_dir, trace_dir, experiment=experiment)
 
 
-def run_sweep(
-    system: SystemModel,
-    spec: WorkloadSpec,
-    utilizations: Sequence[float],
-    n_requests: int = DEFAULT_N_REQUESTS,
-    seed: Optional[int] = None,
-    warmup_frac: float = DEFAULT_WARMUP_FRAC,
-    pct: float = 99.9,
-    sanitize: "bool | str" = False,
-    trace_dir: Optional[str] = None,
-    metrics_dir: Optional[str] = None,
-    seeds: Optional[Sequence[int]] = None,
-) -> List[RunResult]:
-    """One :func:`run_once` per (load point, seed).
+def replicate_seed(
+    experiment: ExperimentSpec,
+    replicate: int,
+    seeds: Optional[Sequence[int]],
+    **point: Any,
+) -> int:
+    """The seed replicate ``replicate`` of one grid point runs under.
 
-    ``seeds`` replicates every load point under each listed seed;
-    results are ordered load-major, seed-minor.  Systems compared at the
-    same points with the same seeds stay paired (common random numbers).
-    The legacy single-``seed`` parameter is deprecated — pass
-    ``seeds=(s,)`` instead; when neither is given, ``seeds=(1,)``.
-
-    ``trace_dir`` traces every point, writing one
-    ``<system>_<workload>_rho<load>[_seed<s>].trace.json`` per point
-    (the seed suffix appears only for multi-seed sweeps, keeping legacy
-    single-seed filenames stable); ``metrics_dir`` likewise collects
-    telemetry per point.
+    Drivers iterate ``seeds or (seed,)``.  On the single-seed path (no
+    ``seeds``) the raw seed runs as is; with ``seeds`` each replicate
+    runs under its cell's derived seed
+    (:meth:`~repro.sweep.planner.ExperimentSpec.cell`) — the seed a
+    pooled ``repro-sweep`` run of the same point gets.
     """
-    if seed is not None:
-        if seeds is not None:
-            raise ConfigurationError(
-                "pass either seeds=... or the deprecated seed=..., not both"
-            )
-        warnings.warn(
-            "run_sweep(seed=...) is deprecated; pass seeds=(seed,) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        seeds = (seed,)
-    if seeds is None:
-        seeds = (1,)
-    if not seeds:
-        raise ConfigurationError("run_sweep needs at least one seed")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigurationError(f"duplicate seeds in {list(seeds)!r}")
-    multi = len(seeds) > 1
-    results: List[RunResult] = []
-    for rho in utilizations:
-        for s in seeds:
-            name_parts: List[Any] = [
-                system.name, spec.name, f"rho{round(rho * 100):03d}"
-            ]
-            if multi:
-                name_parts.append(f"seed{s}")
-            results.append(
-                run_once(
-                    system,
-                    spec,
-                    rho,
-                    n_requests=n_requests,
-                    seed=s,
-                    warmup_frac=warmup_frac,
-                    pct=pct,
-                    sanitize=sanitize,
-                    trace_path=trace_target(trace_dir, *name_parts),
-                    metrics_path=metrics_target(metrics_dir, *name_parts),
-                )
-            )
-    return results
+    return experiment.cell(replicate, **point).seed if seeds else replicate
 
 
-def run_replicated_sweep(
+def _sweep(
     system: SystemModel,
     spec: WorkloadSpec,
+    workload: str,
     utilizations: Sequence[float],
-    seeds: Sequence[int],
-    experiment: str,
-    workload: Optional[str] = None,
-    n_requests: int = DEFAULT_N_REQUESTS,
-    warmup_frac: float = DEFAULT_WARMUP_FRAC,
-    pct: float = 99.9,
-    sanitize: "bool | str" = False,
-    trace_dir: Optional[str] = None,
-    metrics_dir: Optional[str] = None,
+    replicates: Sequence[int],
+    seed_of: Callable[[float, int], int],
+    n_requests: int,
+    sanitize: "bool | str",
+    trace_dir: Optional[str],
+    metrics_dir: Optional[str],
 ) -> Dict[int, List[RunResult]]:
-    """Replicated sweep with **derived** per-cell seeds.
+    """``{replicate: [RunResult per load point]}`` for one system; the
+    run at load ``rho`` of replicate ``r`` uses ``seed_of(rho, r)``.
 
-    Each ``(load point, replicate)`` runs under the seed
-    :func:`repro.sweep.cells.derive_seed` produces for the matching
-    sweep cell — so a serial multi-seed figure run and a pooled
-    ``repro-sweep`` run of the same grid execute bit-identical cells.
-    ``workload`` is the planner's workload token (defaults to
-    ``spec.name``).  Returns ``{replicate: [RunResult per load point]}``
-    in the order of ``seeds``.
+    Artifacts are named ``<system>_<workload>_rho<load>[_seed<r>]`` — the
+    seed suffix only when several replicates run.
     """
-    from ..sweep.cells import derive_seed
-
-    if not seeds:
-        raise ConfigurationError("run_replicated_sweep needs at least one seed")
-    token = spec.name if workload is None else workload
-    multi = len(seeds) > 1
-    replicates: Dict[int, List[RunResult]] = {}
-    for replicate in seeds:
+    multi = len(replicates) > 1
+    sweeps: Dict[int, List[RunResult]] = {}
+    for replicate in replicates:
         sweep: List[RunResult] = []
         for rho in utilizations:
-            cell_seed = derive_seed(
-                experiment,
-                {
-                    "system": system.name,
-                    "workload": token,
-                    "rho": rho,
-                    "n_requests": n_requests,
-                },
-                replicate,
-            )
-            name_parts: List[Any] = [
-                system.name, token, f"rho{round(rho * 100):03d}"
-            ]
+            parts: List[Any] = [system.name, workload, f"rho{round(rho * 100):03d}"]
             if multi:
-                name_parts.append(f"seed{replicate}")
+                parts.append(f"seed{replicate}")
             sweep.append(
                 run_once(
                     system,
                     spec,
                     rho,
                     n_requests=n_requests,
-                    seed=cell_seed,
-                    warmup_frac=warmup_frac,
-                    pct=pct,
+                    seed=seed_of(rho, replicate),
                     sanitize=sanitize,
-                    trace_path=trace_target(trace_dir, *name_parts),
-                    metrics_path=metrics_target(metrics_dir, *name_parts),
+                    trace_path=trace_target(trace_dir, *parts),
+                    metrics_path=metrics_target(metrics_dir, *parts),
                 )
             )
-        replicates[replicate] = sweep
-    return replicates
+        sweeps[replicate] = sweep
+    return sweeps
+
+
+def run_sweep(
+    system: SystemModel,
+    spec: WorkloadSpec,
+    utilizations: Sequence[float],
+    n_requests: int = DEFAULT_N_REQUESTS,
+    sanitize: "bool | str" = False,
+    trace_dir: Optional[str] = None,
+    metrics_dir: Optional[str] = None,
+    seeds: Sequence[int] = (1,),
+) -> List[RunResult]:
+    """One :func:`run_once` per (load point, seed), under the raw seeds.
+
+    Results are ordered load-major, seed-minor.  Systems compared at the
+    same points with the same seeds stay paired (common random numbers).
+    ``trace_dir`` traces every point, writing one
+    ``<system>_<workload>_rho<load>[_seed<s>].trace.json`` per point;
+    ``metrics_dir`` likewise collects telemetry per point.
+    """
+    if not seeds:
+        raise ConfigurationError("run_sweep needs at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigurationError(f"duplicate seeds in {list(seeds)!r}")
+    sweeps = _sweep(
+        system, spec, spec.name, utilizations, seeds, lambda rho, s: s,
+        n_requests, sanitize, trace_dir, metrics_dir,
+    )
+    return [sweeps[s][i] for i in range(len(utilizations)) for s in seeds]
+
+
+def sweep_driver(experiment: ExperimentSpec, findings: Callable) -> Callable:
+    """The ``run(...)`` of a load-sweep driver declared as ``experiment``.
+
+    The returned function runs every workload of the declaration: each
+    system's sweep over the load points (replicated under ``seeds``, see
+    :func:`replicate_seed`), with the observers and artifact names of
+    :func:`run_sweep`, then ``findings(result, workload)`` per
+    workload's :class:`~repro.experiments.results.FigureResult`, then
+    the forensics fold.  It returns that FigureResult, or a dict of them
+    keyed by workload when the declaration has several.
+    """
+
+    def run(
+        utilizations: Optional[Sequence[float]] = None,
+        n_requests: Optional[int] = None,
+        seed: int = 1,
+        systems: Optional[List[SystemModel]] = None,
+        sanitize: "bool | str" = False,
+        trace_dir: Optional[str] = None,
+        metrics_dir: Optional[str] = None,
+        seeds: Optional[Sequence[int]] = None,
+        forensics_dir: Optional[str] = None,
+    ):
+        from .results import FigureResult
+
+        loads = experiment.utilizations if utilizations is None else utilizations
+        n = experiment.n_requests if n_requests is None else n_requests
+        results: Dict[str, FigureResult] = {}
+        for workload in experiment.workloads:
+            spec = experiment.spec_for(workload)
+            result = FigureResult(experiment.title.format(workload=workload), loads)
+            compared = (
+                experiment.systems_for(workload) if systems is None else systems
+            )
+            for system in compared:
+                sweeps = _sweep(
+                    system, spec, workload, loads, seeds or (seed,),
+                    lambda rho, r: replicate_seed(
+                        experiment, r, seeds, system=system.name,
+                        workload=workload, rho=rho, n_requests=n,
+                    ),
+                    n, sanitize, trace_dir, metrics_dir,
+                )
+                if seeds:
+                    result.add_replicated(system.name, sweeps)
+                else:
+                    result.add_sweep(system.name, sweeps[seed])
+            findings(result, workload)
+            results[workload] = result
+        collect_forensics(forensics_dir, trace_dir, experiment.name)
+        return results if len(results) > 1 else results[experiment.workloads[0]]
+
+    run.__doc__ = (
+        f"Run the {experiment.name} load sweep (see :func:`repro.experiments"
+        f".common.sweep_driver`)."
+    )
+    return run

@@ -13,7 +13,7 @@ At 5.1 Mrps, short p99.9 ≈ 9.87 µs vs 7738 µs (c-FCFS) and 161 µs (TS).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List
 
 from ..analysis.slo import max_typed_slowdown_metric
 from ..systems.base import SystemModel
@@ -23,9 +23,10 @@ from ..systems.persephone import (
     PersephoneSystem,
 )
 from ..systems.shinjuku import ShinjukuSystem
-from ..workload.presets import figure1_workload
-from .common import collect_forensics
-from .results import FigureResult, collect_sweep
+from ..sweep.planner import ExperimentSpec
+from ..workload.presets import by_name
+from .common import sweep_driver
+from .results import FigureResult
 
 N_WORKERS = 16
 SLO_SLOWDOWN = 10.0
@@ -53,32 +54,24 @@ def default_systems() -> List[SystemModel]:
     ]
 
 
-def run(
-    utilizations: Sequence[float] = DEFAULT_UTILIZATIONS,
-    n_requests: int = 60_000,
-    seed: int = 1,
-    systems: Optional[List[SystemModel]] = None,
-    sanitize: bool = False,
-    trace_dir: Optional[str] = None,
-    metrics_dir: Optional[str] = None,
-    seeds: Optional[Sequence[int]] = None,
-    forensics_dir: Optional[str] = None,
-) -> FigureResult:
-    """Run the Fig. 1 sweep and derive its headline capacities.
+EXPERIMENT = ExperimentSpec(
+    name="figure1",
+    kind="load_sweep",
+    title="Figure 1",
+    workloads=("figure1",),
+    spec_for=by_name,
+    systems_for=lambda workload: default_systems(),
+    utilizations=DEFAULT_UTILIZATIONS,
+    n_requests=60_000,
+    slo={"figure1": SLO_SLOWDOWN},
+    capacity_metric="max_typed_slowdown",
+)
 
-    ``seeds`` replicates every point (derived per-cell seeds, CI
-    tables); without it the single raw ``seed`` runs, as always.
-    """
-    spec = figure1_workload()
-    result = FigureResult("Figure 1", utilizations)
-    for system in systems if systems is not None else default_systems():
-        collect_sweep(
-            result, system, spec, utilizations, experiment="figure1",
-            workload="figure1", n_requests=n_requests, seed=seed, seeds=seeds,
-            sanitize=sanitize, trace_dir=trace_dir, metrics_dir=metrics_dir,
-        )
+
+def findings(result: FigureResult, workload: str) -> None:
+    """Headline capacities at the 10x per-type slowdown SLO."""
     caps = result.capacities(SLO_SLOWDOWN, max_typed_slowdown_metric)
-    peak_mrps = spec.peak_load(N_WORKERS)
+    peak_mrps = EXPERIMENT.spec_for(workload).peak_load(N_WORKERS)
     for name, cap in caps.items():
         result.findings[f"capacity@10x [{name}] (frac of peak)"] = (
             cap if cap is not None else float("nan")
@@ -91,8 +84,9 @@ def run(
     ts_name = "TS (5us, 1us)"
     if caps.get("DARC") and caps.get(ts_name):
         result.findings["DARC vs TS capacity ratio"] = caps["DARC"] / caps[ts_name]
-    collect_forensics(forensics_dir, trace_dir, "figure1")
-    return result
+
+
+run = sweep_driver(EXPERIMENT, findings)
 
 
 def render(result: FigureResult) -> str:

@@ -13,15 +13,16 @@ once preemption stops being free.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from ..analysis.slo import max_typed_slowdown_metric
 from ..systems.base import SystemModel
 from ..systems.persephone import PersephoneSystem
 from ..systems.shinjuku import ShinjukuSystem
-from ..workload.presets import figure1_workload
-from .common import collect_forensics
-from .results import FigureResult, collect_sweep
+from ..sweep.planner import ExperimentSpec
+from ..workload.presets import by_name
+from .common import sweep_driver
+from .results import FigureResult
 
 N_WORKERS = 16
 SLO_SLOWDOWN = 10.0
@@ -58,25 +59,22 @@ def default_systems() -> List[SystemModel]:
     return systems
 
 
-def run(
-    utilizations: Sequence[float] = DEFAULT_UTILIZATIONS,
-    n_requests: int = 60_000,
-    seed: int = 1,
-    systems: Optional[List[SystemModel]] = None,
-    sanitize: bool = False,
-    trace_dir: Optional[str] = None,
-    metrics_dir: Optional[str] = None,
-    seeds: Optional[Sequence[int]] = None,
-    forensics_dir: Optional[str] = None,
-) -> FigureResult:
-    spec = figure1_workload()
-    result = FigureResult("Figure 10 [preemption overheads]", utilizations)
-    for system in systems if systems is not None else default_systems():
-        collect_sweep(
-            result, system, spec, utilizations, experiment="figure10",
-            workload="figure1", n_requests=n_requests, seed=seed, seeds=seeds,
-            sanitize=sanitize, trace_dir=trace_dir, metrics_dir=metrics_dir,
-        )
+EXPERIMENT = ExperimentSpec(
+    name="figure10",
+    kind="load_sweep",
+    title="Figure 10 [preemption overheads]",
+    workloads=("figure1",),
+    spec_for=by_name,
+    systems_for=lambda workload: default_systems(),
+    utilizations=DEFAULT_UTILIZATIONS,
+    n_requests=60_000,
+    slo={"figure1": SLO_SLOWDOWN},
+    capacity_metric="max_typed_slowdown",
+)
+
+
+def findings(result: FigureResult, workload: str) -> None:
+    """Capacities at the slowdown target and the load lost to preemption cost."""
     caps = result.capacities(SLO_SLOWDOWN, max_typed_slowdown_metric)
     for name, cap in caps.items():
         result.findings[f"capacity@{SLO_SLOWDOWN:g}x [{name}]"] = (
@@ -86,8 +84,9 @@ def run(
     one_us = caps.get("TS 1us")
     if ideal and one_us:
         result.findings["load lost by TS 1us vs ideal"] = 1.0 - one_us / ideal
-    collect_forensics(forensics_dir, trace_dir, "figure10")
-    return result
+
+
+run = sweep_driver(EXPERIMENT, findings)
 
 
 def render(result: FigureResult) -> str:

@@ -12,7 +12,7 @@ average CPU waste ≈ 0.86 core.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List
 
 from ..analysis.slo import overall_slowdown_metric, typed_latency_metric
 from ..systems.base import SystemModel
@@ -21,9 +21,10 @@ from ..systems.persephone import (
     PersephoneDfcfsSystem,
     PersephoneSystem,
 )
-from ..workload.presets import high_bimodal
-from .common import collect_forensics
-from .results import FigureResult, collect_sweep
+from ..sweep.planner import ExperimentSpec
+from ..workload.presets import by_name
+from .common import sweep_driver
+from .results import FigureResult
 
 N_WORKERS = 14
 SHORT_TYPE = 0
@@ -41,27 +42,22 @@ def default_systems() -> List[SystemModel]:
     ]
 
 
-def run(
-    utilizations: Sequence[float] = DEFAULT_UTILIZATIONS,
-    n_requests: int = 60_000,
-    seed: int = 1,
-    systems: Optional[List[SystemModel]] = None,
-    sanitize: bool = False,
-    trace_dir: Optional[str] = None,
-    metrics_dir: Optional[str] = None,
-    seeds: Optional[Sequence[int]] = None,
-    forensics_dir: Optional[str] = None,
-) -> FigureResult:
-    spec = high_bimodal()
-    result = FigureResult("Figure 3", utilizations)
-    for system in systems if systems is not None else default_systems():
-        collect_sweep(
-            result, system, spec, utilizations, experiment="figure3",
-            workload="high_bimodal", n_requests=n_requests, seed=seed, seeds=seeds,
-            sanitize=sanitize, trace_dir=trace_dir, metrics_dir=metrics_dir,
-        )
+EXPERIMENT = ExperimentSpec(
+    name="figure3",
+    kind="load_sweep",
+    title="Figure 3",
+    workloads=("high_bimodal",),
+    spec_for=by_name,
+    systems_for=lambda workload: default_systems(),
+    utilizations=DEFAULT_UTILIZATIONS,
+    n_requests=60_000,
+    slo={"high_bimodal": SHORT_LATENCY_SLO_US},
+)
 
-    # Headline ratios at the highest common load point.
+
+def findings(result: FigureResult, workload: str) -> None:
+    """DARC vs c-FCFS: slowdown gain, long-request cost, capacity at the
+    short-request SLO, and DARC's reservation at the highest load."""
     darc = result.sweeps.get("DARC")
     cfcfs = result.sweeps.get("c-FCFS")
     if darc and cfcfs:
@@ -91,8 +87,9 @@ def run(
             result.findings["DARC reserved cores for SHORT"] = float(
                 last_darc.scheduler.reserved_count(SHORT_TYPE)
             )
-    collect_forensics(forensics_dir, trace_dir, "figure3")
-    return result
+
+
+run = sweep_driver(EXPERIMENT, findings)
 
 
 def render(result: FigureResult) -> str:

@@ -16,13 +16,16 @@ from typing import Dict, List, Optional, Sequence
 from ..analysis.slo import overall_slowdown_metric
 from ..analysis.tables import render_table
 from ..sweep.stats import mean_ci
+from ..sweep.planner import ExperimentSpec
+from ..systems.base import SystemModel
 from ..systems.persephone import PersephoneCfcfsSystem, PersephoneStaticSystem
-from ..workload.presets import extreme_bimodal, high_bimodal
+from ..workload.presets import by_name
 from ..workload.spec import WorkloadSpec
 from .common import (
     RunResult,
     collect_forensics,
     metrics_target,
+    replicate_seed,
     run_once,
     trace_target,
 )
@@ -30,6 +33,8 @@ from .common import (
 N_WORKERS = 14
 UTILIZATION = 0.95
 DEFAULT_RESERVED = tuple(range(0, 15))
+#: The reference system's cell token (and name).
+REFERENCE = "c-FCFS"
 
 
 class Figure4Result:
@@ -101,37 +106,34 @@ class Figure4Result:
         return "\n\n".join(parts)
 
 
-def _cell_seed(
-    seeds: Optional[Sequence[int]],
-    replicate: int,
-    raw_seed: int,
-    workload: str,
-    choice: str,
-    utilization: float,
-    n_requests: int,
-) -> int:
-    """Raw seed on the legacy path, derived per-cell seed with ``seeds``
-    (matching the pooled ``repro-sweep`` figure4 cells)."""
-    if seeds is None:
-        return raw_seed
-    from ..sweep.cells import derive_seed
+def systems(reserved_counts: Sequence[int] = DEFAULT_RESERVED) -> Dict[str, SystemModel]:
+    """Cell system token -> system: the c-FCFS reference, then DARC-static
+    for each reserved count that leaves a worker for long requests."""
+    choices: Dict[str, SystemModel] = {
+        REFERENCE: PersephoneCfcfsSystem(n_workers=N_WORKERS, name=REFERENCE)
+    }
+    for k in reserved_counts:
+        if k < N_WORKERS:
+            choices[f"reserved{k}"] = PersephoneStaticSystem(
+                n_reserved=k, n_workers=N_WORKERS
+            )
+    return choices
 
-    return derive_seed(
-        "figure4",
-        {
-            "system": choice,
-            "workload": workload,
-            "rho": utilization,
-            "n_requests": n_requests,
-        },
-        replicate,
-    )
+
+EXPERIMENT = ExperimentSpec(
+    name="figure4",
+    kind="reserved_grid",
+    workloads=("high_bimodal", "extreme_bimodal"),
+    spec_for=by_name,
+    utilizations=(UTILIZATION,),
+    n_requests=60_000,
+)
 
 
 def run(
     reserved_counts: Sequence[int] = DEFAULT_RESERVED,
     utilization: float = UTILIZATION,
-    n_requests: int = 60_000,
+    n_requests: int = EXPERIMENT.n_requests,
     seed: int = 1,
     workloads: Optional[Dict[str, WorkloadSpec]] = None,
     sanitize: bool = False,
@@ -141,65 +143,43 @@ def run(
     forensics_dir: Optional[str] = None,
 ) -> Figure4Result:
     if workloads is None:
-        workloads = {
-            "high_bimodal": high_bimodal(),
-            "extreme_bimodal": extreme_bimodal(),
-        }
-    replicates: Sequence[int] = seeds if seeds else (seed,)
+        workloads = {w: EXPERIMENT.spec_for(w) for w in EXPERIMENT.workloads}
+    replicates: Sequence[int] = seeds or (seed,)
     result = Figure4Result(utilization)
     result.n_replicates = len(replicates)
-    cfcfs = PersephoneCfcfsSystem(n_workers=N_WORKERS, name="c-FCFS")
     for name, spec in workloads.items():
-        ref_samples: List[float] = []
-        samples: Dict[int, List[float]] = {}
+        samples: Dict[str, List[float]] = {}
         for index, replicate in enumerate(replicates):
-            first = index == 0
             suffix = () if len(replicates) == 1 else (f"seed{replicate}",)
-            ref = run_once(
-                cfcfs, spec, utilization, n_requests=n_requests,
-                seed=_cell_seed(
-                    seeds, replicate, seed, name, "c-FCFS",
-                    utilization, n_requests,
-                ),
-                sanitize=sanitize,
-                trace_path=trace_target(
-                    trace_dir, "figure4", name, "c-FCFS", *suffix
-                ),
-                metrics_path=metrics_target(
-                    metrics_dir, "figure4", name, "c-FCFS", *suffix
-                ),
-            )
-            ref_samples.append(overall_slowdown_metric(ref))
-            if first:
-                result.references[name] = ref
-            runs: Dict[int, RunResult] = {}
-            for k in reserved_counts:
-                if k >= N_WORKERS:
-                    continue  # must leave at least one worker for long requests
-                system = PersephoneStaticSystem(n_reserved=k, n_workers=N_WORKERS)
-                run_result = run_once(
+            runs: Dict[str, RunResult] = {}
+            for choice, system in systems(reserved_counts).items():
+                runs[choice] = run_once(
                     system, spec, utilization, n_requests=n_requests,
-                    seed=_cell_seed(
-                        seeds, replicate, seed, name, f"reserved{k}",
-                        utilization, n_requests,
+                    seed=replicate_seed(
+                        EXPERIMENT, replicate, seeds, system=choice,
+                        workload=name, rho=utilization, n_requests=n_requests,
                     ),
                     sanitize=sanitize,
                     trace_path=trace_target(
-                        trace_dir, "figure4", name, f"reserved{k}", *suffix
+                        trace_dir, "figure4", name, choice, *suffix
                     ),
                     metrics_path=metrics_target(
-                        metrics_dir, "figure4", name, f"reserved{k}", *suffix
+                        metrics_dir, "figure4", name, choice, *suffix
                     ),
                 )
-                runs[k] = run_result
-                samples.setdefault(k, []).append(
-                    overall_slowdown_metric(run_result)
+                samples.setdefault(choice, []).append(
+                    overall_slowdown_metric(runs[choice])
                 )
-            if first:
-                result.sweeps[name] = runs
+            if index == 0:
+                result.references[name] = runs.pop(REFERENCE)
+                result.sweeps[name] = {
+                    int(choice[len("reserved"):]): r for choice, r in runs.items()
+                }
         if len(replicates) > 1:
-            result.slowdown_samples[name] = samples
-            result.reference_samples[name] = ref_samples
+            result.reference_samples[name] = samples.pop(REFERENCE)
+            result.slowdown_samples[name] = {
+                int(choice[len("reserved"):]): v for choice, v in samples.items()
+            }
         best = result.best_reserved(name)
         ref_value = result.reference_slowdown(name)
         best_val = result.slowdowns(name)[best]

@@ -13,16 +13,17 @@ bimodal workloads.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from ..analysis.slo import overall_slowdown_metric, typed_latency_metric
 from ..systems.base import SystemModel
 from ..systems.persephone import PersephoneSystem
 from ..systems.shenango import ShenangoSystem
 from ..systems.shinjuku import ShinjukuSystem
-from ..workload.presets import extreme_bimodal, high_bimodal
-from .common import collect_forensics
-from .results import FigureResult, collect_sweep
+from ..sweep.planner import ExperimentSpec
+from ..workload.presets import by_name
+from .common import sweep_driver
+from .results import FigureResult
 
 N_WORKERS = 14
 DEFAULT_UTILIZATIONS = (0.2, 0.35, 0.5, 0.65, 0.75, 0.85, 0.95)
@@ -41,27 +42,22 @@ def systems_for(workload_name: str) -> List[SystemModel]:
     ]
 
 
-def run_one_workload(
-    workload_name: str,
-    utilizations: Sequence[float] = DEFAULT_UTILIZATIONS,
-    n_requests: int = 60_000,
-    seed: int = 1,
-    systems: Optional[List[SystemModel]] = None,
-    sanitize: bool = False,
-    trace_dir: Optional[str] = None,
-    metrics_dir: Optional[str] = None,
-    seeds: Optional[Sequence[int]] = None,
-) -> FigureResult:
-    spec = high_bimodal() if workload_name == "high_bimodal" else extreme_bimodal()
-    slo = SLO_HIGH if workload_name == "high_bimodal" else SLO_EXTREME
-    result = FigureResult(f"Figure 5 [{workload_name}]", utilizations)
-    for system in systems if systems is not None else systems_for(workload_name):
-        collect_sweep(
-            result, system, spec, utilizations, experiment="figure5",
-            workload=workload_name, n_requests=n_requests, seed=seed,
-            seeds=seeds, sanitize=sanitize, trace_dir=trace_dir,
-            metrics_dir=metrics_dir,
-        )
+EXPERIMENT = ExperimentSpec(
+    name="figure5",
+    kind="load_sweep",
+    title="Figure 5 [{workload}]",
+    workloads=("high_bimodal", "extreme_bimodal"),
+    spec_for=by_name,
+    systems_for=systems_for,
+    utilizations=DEFAULT_UTILIZATIONS,
+    n_requests=60_000,
+    slo={"high_bimodal": SLO_HIGH, "extreme_bimodal": SLO_EXTREME},
+)
+
+
+def findings(result: FigureResult, workload: str) -> None:
+    """Capacities at the sub-figure's slowdown target and DARC's ratios."""
+    slo = EXPERIMENT.slo[workload]
     caps = result.capacities(slo, overall_slowdown_metric)
     for name, cap in caps.items():
         result.findings[f"capacity@{slo:g}x [{name}]"] = (
@@ -71,34 +67,10 @@ def run_one_workload(
         result.findings["DARC vs Shenango capacity"] = caps["Persephone"] / caps["Shenango"]
     if caps.get("Persephone") and caps.get("Shinjuku"):
         result.findings["DARC vs Shinjuku capacity"] = caps["Persephone"] / caps["Shinjuku"]
-    return result
 
 
-def run(
-    utilizations: Sequence[float] = DEFAULT_UTILIZATIONS,
-    n_requests: int = 60_000,
-    seed: int = 1,
-    sanitize: bool = False,
-    trace_dir: Optional[str] = None,
-    metrics_dir: Optional[str] = None,
-    seeds: Optional[Sequence[int]] = None,
-    forensics_dir: Optional[str] = None,
-) -> Dict[str, FigureResult]:
-    """Both sub-figures."""
-    results = {
-        "high_bimodal": run_one_workload(
-            "high_bimodal", utilizations, n_requests=n_requests, seed=seed,
-            sanitize=sanitize, trace_dir=trace_dir, metrics_dir=metrics_dir,
-            seeds=seeds,
-        ),
-        "extreme_bimodal": run_one_workload(
-            "extreme_bimodal", utilizations, n_requests=n_requests, seed=seed,
-            sanitize=sanitize, trace_dir=trace_dir, metrics_dir=metrics_dir,
-            seeds=seeds,
-        ),
-    }
-    collect_forensics(forensics_dir, trace_dir, "figure5")
-    return results
+#: Both sub-figures, keyed by workload.
+run = sweep_driver(EXPERIMENT, findings)
 
 
 def render(results: Dict[str, FigureResult]) -> str:

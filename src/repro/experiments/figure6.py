@@ -14,7 +14,7 @@ Shenango / Shinjuku.  DARC's grouping is {Payment, OrderStatus},
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List
 
 from ..analysis.slo import overall_slowdown_metric, typed_latency_metric
 from ..apps.tpcc import TXN_PROFILE
@@ -22,9 +22,10 @@ from ..systems.base import SystemModel
 from ..systems.persephone import PersephoneSystem
 from ..systems.shenango import ShenangoSystem
 from ..systems.shinjuku import ShinjukuSystem
-from ..workload.presets import tpcc
-from .common import collect_forensics
-from .results import FigureResult, collect_sweep
+from ..sweep.planner import ExperimentSpec
+from ..workload.presets import by_name
+from .common import sweep_driver
+from .results import FigureResult
 
 N_WORKERS = 14
 SLO_SLOWDOWN = 10.0
@@ -39,26 +40,22 @@ def default_systems() -> List[SystemModel]:
     ]
 
 
-def run(
-    utilizations: Sequence[float] = DEFAULT_UTILIZATIONS,
-    n_requests: int = 60_000,
-    seed: int = 1,
-    systems: Optional[List[SystemModel]] = None,
-    sanitize: bool = False,
-    trace_dir: Optional[str] = None,
-    metrics_dir: Optional[str] = None,
-    seeds: Optional[Sequence[int]] = None,
-    forensics_dir: Optional[str] = None,
-) -> FigureResult:
-    spec = tpcc()
-    result = FigureResult("Figure 6 [TPC-C]", utilizations)
-    for system in systems if systems is not None else default_systems():
-        collect_sweep(
-            result, system, spec, utilizations, experiment="figure6",
-            workload="tpcc", n_requests=n_requests, seed=seed, seeds=seeds,
-            sanitize=sanitize, trace_dir=trace_dir, metrics_dir=metrics_dir,
-        )
+EXPERIMENT = ExperimentSpec(
+    name="figure6",
+    kind="load_sweep",
+    title="Figure 6 [TPC-C]",
+    workloads=("tpcc",),
+    spec_for=by_name,
+    systems_for=lambda workload: default_systems(),
+    utilizations=DEFAULT_UTILIZATIONS,
+    n_requests=60_000,
+    slo={"tpcc": SLO_SLOWDOWN},
+)
 
+
+def findings(result: FigureResult, workload: str) -> None:
+    """Capacities at the slowdown target, per-transaction gains near 85% load
+    and DARC's learned grouping."""
     caps = result.capacities(SLO_SLOWDOWN, overall_slowdown_metric)
     for name, cap in caps.items():
         result.findings[f"capacity@{SLO_SLOWDOWN:g}x [{name}]"] = (
@@ -99,8 +96,9 @@ def run(
                 result.findings[f"group {gi} reserved workers"] = float(
                     len(alloc.reserved)
                 )
-    collect_forensics(forensics_dir, trace_dir, "figure6")
-    return result
+
+
+run = sweep_driver(EXPERIMENT, findings)
 
 
 def render(result: FigureResult) -> str:

@@ -29,12 +29,19 @@ from ..sweep.stats import mean_ci
 from ..metrics.summary import RunSummary
 from ..metrics.timeseries import AllocationTimeline, WindowedStats
 from ..sim.units import US_PER_MS
+from ..sweep.planner import ExperimentSpec
 from ..systems.base import SystemModel
 from ..systems.persephone import PersephoneCfcfsSystem, PersephoneSystem
 from ..workload.phases import Phase
 from ..workload.spec import TypedClass, WorkloadSpec
 from ..workload.distributions import Fixed
-from .common import collect_forensics, metrics_target, run_once, trace_target
+from .common import (
+    collect_forensics,
+    metrics_target,
+    replicate_seed,
+    run_once,
+    trace_target,
+)
 
 N_WORKERS = 14
 UTILIZATION = 0.80
@@ -59,6 +66,29 @@ def default_phases(phase_us: float = DEFAULT_PHASE_US) -> List[Phase]:
         Phase(_spec("phase3", SHORT_US, LONG_US, 0.995), phase_us, UTILIZATION),
         Phase(_spec("phase4", SHORT_US, LONG_US, 1.0), phase_us, UTILIZATION),
     ]
+
+
+def default_systems() -> List[SystemModel]:
+    """The baseline and DARC, tuned to re-profile within a phase."""
+    return [
+        PersephoneCfcfsSystem(n_workers=N_WORKERS, name="c-FCFS"),
+        PersephoneSystem(
+            n_workers=N_WORKERS,
+            oracle=False,
+            min_samples=500,
+            ema_alpha=0.1,
+            name="DARC",
+        ),
+    ]
+
+
+EXPERIMENT = ExperimentSpec(
+    name="figure7",
+    kind="phased",
+    workloads=("phased",),
+    systems_for=lambda workload: default_systems(),
+    table_metrics=("overall_tail_slowdown", "overall_tail_latency"),
+)
 
 
 class Figure7Result:
@@ -141,33 +171,14 @@ def run(
     if phases is None:
         phases = default_phases()
     if systems is None:
-        systems = [
-            PersephoneCfcfsSystem(n_workers=N_WORKERS, name="c-FCFS"),
-            PersephoneSystem(
-                n_workers=N_WORKERS,
-                oracle=False,
-                min_samples=500,
-                ema_alpha=0.1,
-                name="DARC",
-            ),
-        ]
-    replicates: Sequence[int] = seeds if seeds else (seed,)
+        systems = default_systems()
+    replicates: Sequence[int] = seeds or (seed,)
     boundaries = list(np.cumsum([p.duration_us for p in phases]))
     result = Figure7Result(window_us, boundaries)
     result.n_replicates = len(replicates)
     stats = WindowedStats(window_us)
     for system in systems:
         for index, replicate in enumerate(replicates):
-            if seeds is None:
-                run_seed = seed
-            else:
-                from ..sweep.cells import derive_seed
-
-                run_seed = derive_seed(
-                    "figure7",
-                    {"system": system.name, "workload": "phased"},
-                    replicate,
-                )
             first = index == 0
             suffix = () if len(replicates) == 1 else (f"seed{replicate}",)
             # No warm-up discard: the transitions are the point.
@@ -175,7 +186,10 @@ def run(
                 system,
                 phases[0].spec,
                 UTILIZATION,
-                seed=run_seed,
+                seed=replicate_seed(
+                    EXPERIMENT, replicate, seeds, system=system.name,
+                    workload="phased",
+                ),
                 warmup_frac=0.0,
                 phases=phases,
                 sanitize=sanitize,

@@ -11,7 +11,7 @@ GETs, idling 0.96 cores on average.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List
 
 from ..analysis.slo import overall_slowdown_metric
 from ..apps.rocksdb import GET_TYPE, RocksDbLike
@@ -19,8 +19,9 @@ from ..systems.base import SystemModel
 from ..systems.persephone import PersephoneSystem
 from ..systems.shenango import ShenangoSystem
 from ..systems.shinjuku import ShinjukuSystem
-from .common import collect_forensics
-from .results import FigureResult, collect_sweep
+from ..sweep.planner import ExperimentSpec
+from .common import sweep_driver
+from .results import FigureResult
 
 N_WORKERS = 14
 SLO_SLOWDOWN = 20.0
@@ -35,26 +36,21 @@ def default_systems() -> List[SystemModel]:
     ]
 
 
-def run(
-    utilizations: Sequence[float] = DEFAULT_UTILIZATIONS,
-    n_requests: int = 60_000,
-    seed: int = 1,
-    systems: Optional[List[SystemModel]] = None,
-    sanitize: bool = False,
-    trace_dir: Optional[str] = None,
-    metrics_dir: Optional[str] = None,
-    seeds: Optional[Sequence[int]] = None,
-    forensics_dir: Optional[str] = None,
-) -> FigureResult:
-    store = RocksDbLike()
-    spec = store.workload_spec()
-    result = FigureResult("Figure 8 [RocksDB]", utilizations)
-    for system in systems if systems is not None else default_systems():
-        collect_sweep(
-            result, system, spec, utilizations, experiment="figure8",
-            workload="rocksdb", n_requests=n_requests, seed=seed, seeds=seeds,
-            sanitize=sanitize, trace_dir=trace_dir, metrics_dir=metrics_dir,
-        )
+EXPERIMENT = ExperimentSpec(
+    name="figure8",
+    kind="load_sweep",
+    title="Figure 8 [RocksDB]",
+    workloads=("rocksdb",),
+    spec_for=lambda workload: RocksDbLike().workload_spec(),
+    systems_for=lambda workload: default_systems(),
+    utilizations=DEFAULT_UTILIZATIONS,
+    n_requests=60_000,
+    slo={"rocksdb": SLO_SLOWDOWN},
+)
+
+
+def findings(result: FigureResult, workload: str) -> None:
+    """Capacities at the slowdown target and DARC's GET reservation."""
     caps = result.capacities(SLO_SLOWDOWN, overall_slowdown_metric)
     for name, cap in caps.items():
         result.findings[f"capacity@{SLO_SLOWDOWN:g}x [{name}]"] = (
@@ -76,8 +72,9 @@ def run(
                 darc.reserved_count(GET_TYPE)
             )
             result.findings["DARC expected CPU waste (cores)"] = darc.expected_waste()
-    collect_forensics(forensics_dir, trace_dir, "figure8")
-    return result
+
+
+run = sweep_driver(EXPERIMENT, findings)
 
 
 def render(result: FigureResult) -> str:

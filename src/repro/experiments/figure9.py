@@ -10,7 +10,7 @@ melt down).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
@@ -18,9 +18,10 @@ from ..analysis.slo import overall_slowdown_metric
 from ..core.classifier import RandomClassifier
 from ..systems.base import SystemModel
 from ..systems.persephone import PersephoneCfcfsSystem, PersephoneSystem
-from ..workload.presets import high_bimodal
-from .common import collect_forensics
-from .results import FigureResult, collect_sweep
+from ..sweep.planner import ExperimentSpec
+from ..workload.presets import by_name
+from .common import sweep_driver
+from .results import FigureResult
 
 N_WORKERS = 8
 DEFAULT_UTILIZATIONS = (0.2, 0.35, 0.5, 0.65, 0.8, 0.9)
@@ -43,25 +44,20 @@ def default_systems() -> List[SystemModel]:
     ]
 
 
-def run(
-    utilizations: Sequence[float] = DEFAULT_UTILIZATIONS,
-    n_requests: int = 50_000,
-    seed: int = 1,
-    systems: Optional[List[SystemModel]] = None,
-    sanitize: bool = False,
-    trace_dir: Optional[str] = None,
-    metrics_dir: Optional[str] = None,
-    seeds: Optional[Sequence[int]] = None,
-    forensics_dir: Optional[str] = None,
-) -> FigureResult:
-    spec = high_bimodal()
-    result = FigureResult("Figure 9 [random classifier]", utilizations)
-    for system in systems if systems is not None else default_systems():
-        collect_sweep(
-            result, system, spec, utilizations, experiment="figure9",
-            workload="high_bimodal", n_requests=n_requests, seed=seed, seeds=seeds,
-            sanitize=sanitize, trace_dir=trace_dir, metrics_dir=metrics_dir,
-        )
+EXPERIMENT = ExperimentSpec(
+    name="figure9",
+    kind="load_sweep",
+    title="Figure 9 [random classifier]",
+    workloads=("high_bimodal",),
+    spec_for=by_name,
+    systems_for=lambda workload: default_systems(),
+    utilizations=DEFAULT_UTILIZATIONS,
+    n_requests=50_000,
+)
+
+
+def findings(result: FigureResult, workload: str) -> None:
+    """How closely DARC-random tracks c-FCFS."""
     random_sweep = result.sweeps.get("DARC-random")
     cfcfs_sweep = result.sweeps.get("c-FCFS")
     if random_sweep and cfcfs_sweep:
@@ -76,8 +72,9 @@ def run(
             result.findings["mean |log slowdown ratio| (DARC-random vs c-FCFS)"] = float(
                 np.mean(ratios)
             )
-    collect_forensics(forensics_dir, trace_dir, "figure9")
-    return result
+
+
+run = sweep_driver(EXPERIMENT, findings)
 
 
 def render(result: FigureResult) -> str:

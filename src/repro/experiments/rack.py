@@ -22,12 +22,18 @@ from typing import Dict, List, Optional, Sequence
 
 from ..analysis.slo import overall_slowdown_metric
 from ..rack.rack import RackResult, run_rack
+from ..sweep.planner import ExperimentSpec
 from ..systems.base import SystemModel
 from ..systems.persephone import PersephoneSystem
 from ..systems.shenango import ShenangoSystem
 from ..systems.shinjuku import ShinjukuSystem
-from ..workload.presets import high_bimodal
-from .common import collect_forensics, metrics_target, trace_target
+from ..workload.presets import by_name
+from .common import (
+    collect_forensics,
+    metrics_target,
+    replicate_seed,
+    trace_target,
+)
 from .results import FigureResult
 
 #: Rack geometry: 16 replicas x 8 cores = 128 cores.
@@ -71,7 +77,7 @@ def _run_grid_point(
         name_parts.append(f"seed{seed_suffix}")
     return run_rack(
         system,
-        high_bimodal(),
+        EXPERIMENT.spec_for(WORKLOAD),
         balancer=balancer,
         n_servers=n_servers,
         utilization=rho,
@@ -100,8 +106,25 @@ def _findings(result: FigureResult, utilizations: Sequence[float]) -> None:
             )
 
 
+EXPERIMENT = ExperimentSpec(
+    name="rack",
+    kind="rack",
+    workloads=(WORKLOAD,),
+    spec_for=by_name,
+    systems_for=lambda workload: default_systems(),
+    utilizations=DEFAULT_UTILIZATIONS,
+    n_requests=20_000,
+    table_metrics=(
+        "overall_tail_slowdown",
+        "overall_tail_latency",
+        "throughput",
+        "load_imbalance",
+    ),
+)
+
+
 def run(
-    n_requests: int = 20_000,
+    n_requests: int = EXPERIMENT.n_requests,
     seed: int = 1,
     sanitize: "bool | str" = False,
     trace_dir: Optional[str] = None,
@@ -124,42 +147,26 @@ def run(
     for balancer in balancers:
         result = FigureResult(f"Rack [{balancer}]", utilizations)
         for system in default_systems():
-            if seeds is None:
-                sweep = [
+            replicates: Dict[int, List[RackResult]] = {}
+            for replicate in seeds or (seed,):
+                replicates[replicate] = [
                     _run_grid_point(
-                        system, balancer, rho, n_requests, seed, n_servers,
-                        staleness_us, sanitize, metrics_dir,
+                        system, balancer, rho, n_requests,
+                        replicate_seed(
+                            EXPERIMENT, replicate, seeds, system=system.name,
+                            workload=WORKLOAD, balancer=balancer, rho=rho,
+                            n_requests=n_requests, n_servers=n_servers,
+                        ),
+                        n_servers, staleness_us, sanitize, metrics_dir,
                         trace_dir=trace_dir,
+                        seed_suffix=replicate if seeds else None,
                     )
                     for rho in utilizations
                 ]
-                result.add_sweep(system.name, sweep)
-            else:
-                from ..sweep.cells import derive_seed
-
-                replicates: Dict[int, List[RackResult]] = {}
-                for replicate in seeds:
-                    replicates[replicate] = [
-                        _run_grid_point(
-                            system, balancer, rho, n_requests,
-                            derive_seed(
-                                "rack",
-                                {
-                                    "system": system.name,
-                                    "workload": WORKLOAD,
-                                    "balancer": balancer,
-                                    "rho": rho,
-                                    "n_requests": n_requests,
-                                    "n_servers": n_servers,
-                                },
-                                replicate,
-                            ),
-                            n_servers, staleness_us, sanitize, metrics_dir,
-                            trace_dir=trace_dir, seed_suffix=replicate,
-                        )
-                        for rho in utilizations
-                    ]
+            if seeds:
                 result.add_replicated(system.name, replicates)
+            else:
+                result.add_sweep(system.name, replicates[seed])
         _findings(result, utilizations)
         results[balancer] = result
     collect_forensics(forensics_dir, trace_dir, "rack")

@@ -7,7 +7,7 @@ numbers, and renders itself as the text analogue of the paper's plot.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..analysis.slo import MetricFn, capacity_at_slo
 from ..analysis.tables import render_series
@@ -146,46 +146,3 @@ class FigureResult:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"FigureResult({self.name!r}, systems={sorted(self.sweeps)})"
 
-
-def collect_sweep(
-    result: FigureResult,
-    system,
-    spec,
-    utilizations: Sequence[float],
-    experiment: str,
-    workload: Optional[str] = None,
-    n_requests: int = 60_000,
-    seed: int = 1,
-    seeds: Optional[Sequence[int]] = None,
-    sanitize: "bool | str" = False,
-    trace_dir: Optional[str] = None,
-    metrics_dir: Optional[str] = None,
-) -> None:
-    """Run one system's sweep into ``result``, single- or multi-seed.
-
-    Without ``seeds`` this is the legacy path: one raw-seed sweep, byte-
-    identical to what the drivers have always produced.  With ``seeds``
-    every load point is replicated under the *derived* per-cell seeds
-    (:func:`repro.experiments.common.run_replicated_sweep`), matching
-    the pooled ``repro-sweep`` cells for ``experiment``/``workload``.
-    """
-    from .common import run_replicated_sweep, run_sweep
-
-    if seeds is None:
-        result.add_sweep(
-            system.name,
-            run_sweep(
-                system, spec, utilizations, n_requests=n_requests,
-                sanitize=sanitize, trace_dir=trace_dir,
-                metrics_dir=metrics_dir, seeds=(seed,),
-            ),
-        )
-        return
-    result.add_replicated(
-        system.name,
-        run_replicated_sweep(
-            system, spec, utilizations, seeds, experiment=experiment,
-            workload=workload, n_requests=n_requests, sanitize=sanitize,
-            trace_dir=trace_dir, metrics_dir=metrics_dir,
-        ),
-    )

@@ -1,17 +1,19 @@
 """Cell planner: expand (experiment × grid point × seed) into cells.
 
-Every orchestrable experiment registers an :class:`ExperimentSpec`
-describing its grid — which workloads it runs, which systems it
-compares, its default load points and request counts, and the SLO /
-metric its capacity findings use.  :func:`plan_experiment` expands that
-grid crossed with the requested seeds into a flat list of independent
+Every orchestrable experiment declares its grid once, as an
+:class:`ExperimentSpec` named ``EXPERIMENT`` in its driver module —
+which workloads it runs, which systems it compares, its default load
+points and request counts, and the SLO / metric its capacity findings
+use.  :func:`plan_experiment` expands that grid crossed with the
+requested seeds into a flat list of independent
 :class:`~repro.sweep.cells.Cell`\\ s, each carrying a deterministically
 derived root seed, and wraps it in a serializable :class:`SweepPlan`.
 
-The registry deliberately reuses the figure modules' own
-``default_systems``/``systems_for`` functions and module constants, so
-a pooled sweep runs exactly the configurations the serial drivers run
-— one source of truth for every grid.
+The registry reads the drivers' own declarations, so a pooled sweep runs
+exactly the configurations the serial drivers run — one source of truth
+for every grid — and :meth:`ExperimentSpec.cell` is the one constructor
+both use, so replicate ``r`` of a grid point gets the same seed either
+way.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from .cells import Cell
 
 
 class ExperimentSpec(NamedTuple):
-    """Everything the planner and merger need to know about one experiment."""
+    """Everything the planner, the merger and the in-process experiment
+    loop need to know about one experiment."""
 
     name: str
     #: "load_sweep" | "reserved_grid" | "phased" | "chaos" | "rack" |
@@ -31,50 +34,36 @@ class ExperimentSpec(NamedTuple):
     kind: str
     #: Workload tokens the experiment iterates over ("" when implicit).
     workloads: Tuple[str, ...]
-    #: workload token -> WorkloadSpec factory (None for non-sweep kinds).
-    spec_for: Optional[Callable[[str], Any]]
+    #: workload token -> WorkloadSpec factory (None when implicit).
+    spec_for: Optional[Callable[[str], Any]] = None
     #: workload token -> list of SystemModel (fresh instances per call).
-    systems_for: Optional[Callable[[str], List[Any]]]
-    #: Default load points (empty for single-point experiments).
-    utilizations: Tuple[float, ...]
-    #: Default arrivals per cell.
-    n_requests: int
+    systems_for: Optional[Callable[[str], List[Any]]] = None
+    #: Default load points (empty for phased experiments).
+    utilizations: Tuple[float, ...] = ()
+    #: Default arrivals per cell (0 for phased experiments).
+    n_requests: int = 0
     #: workload token -> SLO threshold for capacity findings (may be {}).
-    slo: Dict[str, float]
+    slo: Mapping[str, float] = {}
     #: Metric key (in CellResult.metrics) the SLO applies to.
-    capacity_metric: str
-    #: Metric keys worth tabulating in merged output, in display order.
-    table_metrics: Tuple[str, ...]
+    capacity_metric: str = "overall_tail_slowdown"
+    #: Metric keys tabulated for experiments without load tables, in
+    #: display order.
+    table_metrics: Tuple[str, ...] = ()
+    #: In-process table title; ``{workload}`` is filled per workload.
+    title: str = ""
 
+    def cell(self, replicate: int, **params: Any) -> Cell:
+        """The cell of one grid point's replicate ``replicate``.
 
-def _load_sweep(
-    name: str,
-    workloads: Tuple[str, ...],
-    spec_for,
-    systems_for,
-    utilizations: Tuple[float, ...],
-    n_requests: int,
-    slo: Dict[str, float],
-    capacity_metric: str,
-) -> ExperimentSpec:
-    return ExperimentSpec(
-        name=name,
-        kind="load_sweep",
-        workloads=workloads,
-        spec_for=spec_for,
-        systems_for=systems_for,
-        utilizations=utilizations,
-        n_requests=n_requests,
-        slo=slo,
-        capacity_metric=capacity_metric,
-        table_metrics=(capacity_metric, "overall_tail_latency", "throughput"),
-    )
+        Its :attr:`~repro.sweep.cells.Cell.seed` is the seed replicate
+        ``r`` of that point runs under, pooled or in-process.
+        """
+        return Cell.make(self.name, params, replicate)
 
 
 def _registry() -> Dict[str, ExperimentSpec]:
     # Imported here (not at module top) so `import repro.sweep` stays
     # cheap and free of import cycles with repro.experiments.
-    from ..apps.rocksdb import RocksDbLike
     from ..experiments import (
         chaos,
         figure1,
@@ -88,140 +77,21 @@ def _registry() -> Dict[str, ExperimentSpec]:
         figure10,
         rack,
     )
-    from ..workload.presets import (
-        extreme_bimodal,
-        figure1_workload,
-        high_bimodal,
-        tpcc,
-    )
 
-    def bimodal_spec(workload: str):
-        return high_bimodal() if workload == "high_bimodal" else extreme_bimodal()
-
-    registry: Dict[str, ExperimentSpec] = {}
-
-    registry["figure1"] = _load_sweep(
-        "figure1", ("figure1",), lambda w: figure1_workload(),
-        lambda w: figure1.default_systems(), figure1.DEFAULT_UTILIZATIONS,
-        60_000, {"figure1": figure1.SLO_SLOWDOWN}, "max_typed_slowdown",
+    drivers = (
+        figure1, figure3, figure4, figure5, figure6, figure7, figure8,
+        figure9, figure10, chaos, rack,
     )
-    registry["figure3"] = _load_sweep(
-        "figure3", ("high_bimodal",), bimodal_spec,
-        lambda w: figure3.default_systems(), figure3.DEFAULT_UTILIZATIONS,
-        60_000, {"high_bimodal": figure3.SHORT_LATENCY_SLO_US},
-        "overall_tail_slowdown",
-    )
-    registry["figure5"] = _load_sweep(
-        "figure5", ("high_bimodal", "extreme_bimodal"), bimodal_spec,
-        figure5.systems_for, figure5.DEFAULT_UTILIZATIONS, 60_000,
-        {"high_bimodal": figure5.SLO_HIGH, "extreme_bimodal": figure5.SLO_EXTREME},
-        "overall_tail_slowdown",
-    )
-    registry["figure6"] = _load_sweep(
-        "figure6", ("tpcc",), lambda w: tpcc(),
-        lambda w: figure6.default_systems(), figure6.DEFAULT_UTILIZATIONS,
-        60_000, {"tpcc": figure6.SLO_SLOWDOWN}, "overall_tail_slowdown",
-    )
-    registry["figure8"] = _load_sweep(
-        "figure8", ("rocksdb",), lambda w: RocksDbLike().workload_spec(),
-        lambda w: figure8.default_systems(), figure8.DEFAULT_UTILIZATIONS,
-        60_000, {"rocksdb": figure8.SLO_SLOWDOWN}, "overall_tail_slowdown",
-    )
-    registry["figure9"] = _load_sweep(
-        "figure9", ("high_bimodal",), bimodal_spec,
-        lambda w: figure9.default_systems(), figure9.DEFAULT_UTILIZATIONS,
-        50_000, {}, "overall_tail_slowdown",
-    )
-    registry["figure10"] = _load_sweep(
-        "figure10", ("figure1",), lambda w: figure1_workload(),
-        lambda w: figure10.default_systems(), figure10.DEFAULT_UTILIZATIONS,
-        60_000, {"figure1": figure10.SLO_SLOWDOWN}, "max_typed_slowdown",
-    )
-
-    registry["figure4"] = ExperimentSpec(
-        name="figure4",
-        kind="reserved_grid",
-        workloads=("high_bimodal", "extreme_bimodal"),
-        spec_for=bimodal_spec,
-        systems_for=None,
-        utilizations=(figure4.UTILIZATION,),
-        n_requests=60_000,
-        slo={},
-        capacity_metric="overall_tail_slowdown",
-        table_metrics=("overall_tail_slowdown", "overall_tail_latency"),
-    )
-    registry["figure7"] = ExperimentSpec(
-        name="figure7",
-        kind="phased",
-        workloads=("phased",),
-        spec_for=None,
-        systems_for=lambda w: [
-            s for s in _figure7_systems(figure7)
-        ],
-        utilizations=(),
-        n_requests=0,
-        slo={},
-        capacity_metric="overall_tail_slowdown",
-        table_metrics=("overall_tail_slowdown", "overall_tail_latency"),
-    )
-    registry["chaos"] = ExperimentSpec(
-        name="chaos",
-        kind="chaos",
-        workloads=("high_bimodal",),
-        spec_for=bimodal_spec,
-        systems_for=lambda w: chaos.default_systems(),
-        utilizations=(chaos.UTILIZATION,),
-        n_requests=20_000,
-        slo={},
-        capacity_metric="overall_tail_slowdown",
-        table_metrics=("ttr_us", "violation_us", "failures", "throughput"),
-    )
-    registry["rack"] = ExperimentSpec(
-        name="rack",
-        kind="rack",
-        workloads=(rack.WORKLOAD,),
-        spec_for=bimodal_spec,
-        systems_for=lambda w: rack.default_systems(),
-        utilizations=rack.DEFAULT_UTILIZATIONS,
-        n_requests=20_000,
-        slo={},
-        capacity_metric="overall_tail_slowdown",
-        table_metrics=(
-            "overall_tail_slowdown",
-            "overall_tail_latency",
-            "throughput",
-            "load_imbalance",
-        ),
-    )
+    registry = {d.EXPERIMENT.name: d.EXPERIMENT for d in drivers}
     registry[SELFTEST] = ExperimentSpec(
         name=SELFTEST,
         kind="selftest",
         workloads=("",),
-        spec_for=None,
-        systems_for=None,
-        utilizations=(),
         n_requests=400,
-        slo={},
         capacity_metric="value",
         table_metrics=("value",),
     )
     return registry
-
-
-def _figure7_systems(figure7_mod) -> List[Any]:
-    """The two systems figure7.run compares, by the same names."""
-    from ..systems.persephone import PersephoneCfcfsSystem, PersephoneSystem
-
-    return [
-        PersephoneCfcfsSystem(n_workers=figure7_mod.N_WORKERS, name="c-FCFS"),
-        PersephoneSystem(
-            n_workers=figure7_mod.N_WORKERS,
-            oracle=False,
-            min_samples=500,
-            ema_alpha=0.1,
-            name="DARC",
-        ),
-    ]
 
 
 #: Hidden experiment exercising the executor itself (crash isolation,
@@ -293,6 +163,44 @@ class SweepPlan(NamedTuple):
         )
 
 
+def _system_names(spec: ExperimentSpec, workload: str) -> List[str]:
+    if spec.kind == "reserved_grid":
+        from ..experiments import figure4
+
+        return list(figure4.systems())
+    return [s.name for s in spec.systems_for(workload)]
+
+
+def _grid(
+    spec: ExperimentSpec, utils: Tuple[float, ...], n: int
+) -> List[Dict[str, Any]]:
+    """The grid points (cell params without the replicate), in plan order:
+    workload-major, then balancer (rack), then load point, then system."""
+    if spec.kind == "phased":
+        return [
+            {"system": name, "workload": workload}
+            for workload in spec.workloads
+            for name in _system_names(spec, workload)
+        ]
+    if spec.kind in ("reserved_grid", "chaos"):
+        utils = utils[:1]  # single load point
+    axes: List[Dict[str, Any]] = [{}]
+    if spec.kind == "rack":
+        from ..experiments import rack
+
+        axes = [
+            {"balancer": balancer, "n_servers": rack.N_SERVERS}
+            for balancer in rack.DEFAULT_BALANCERS
+        ]
+    return [
+        {"system": name, "workload": workload, "rho": rho, "n_requests": n, **axis}
+        for workload in spec.workloads
+        for axis in axes
+        for rho in utils
+        for name in _system_names(spec, workload)
+    ]
+
+
 def plan_experiment(
     experiment: str,
     seeds: Sequence[int] = (1,),
@@ -316,97 +224,13 @@ def plan_experiment(
         if utilizations is not None
         else spec.utilizations
     )
-    cells: List[Cell] = []
-    if spec.kind == "load_sweep":
-        for workload in spec.workloads:
-            names = [s.name for s in spec.systems_for(workload)]
-            for rho in utils:
-                for name in names:
-                    for seed in seeds:
-                        cells.append(
-                            Cell.make(
-                                experiment,
-                                {
-                                    "system": name,
-                                    "workload": workload,
-                                    "rho": rho,
-                                    "n_requests": n,
-                                },
-                                seed,
-                            )
-                        )
-    elif spec.kind == "reserved_grid":
-        from ..experiments import figure4
-
-        rho = utils[0]
-        for workload in spec.workloads:
-            choices = ["c-FCFS"] + [
-                f"reserved{k}"
-                for k in figure4.DEFAULT_RESERVED
-                if k < figure4.N_WORKERS
-            ]
-            for choice in choices:
-                for seed in seeds:
-                    cells.append(
-                        Cell.make(
-                            experiment,
-                            {
-                                "system": choice,
-                                "workload": workload,
-                                "rho": rho,
-                                "n_requests": n,
-                            },
-                            seed,
-                        )
-                    )
-    elif spec.kind == "phased":
-        for name in [s.name for s in spec.systems_for("phased")]:
-            for seed in seeds:
-                cells.append(
-                    Cell.make(experiment, {"system": name, "workload": "phased"}, seed)
-                )
-    elif spec.kind == "chaos":
-        for workload in spec.workloads:
-            names = [s.name for s in spec.systems_for(workload)]
-            for name in names:
-                for seed in seeds:
-                    cells.append(
-                        Cell.make(
-                            experiment,
-                            {
-                                "system": name,
-                                "workload": workload,
-                                "rho": utils[0],
-                                "n_requests": n,
-                            },
-                            seed,
-                        )
-                    )
-    elif spec.kind == "rack":
-        from ..experiments import rack as rack_mod
-
-        for workload in spec.workloads:
-            names = [s.name for s in spec.systems_for(workload)]
-            for balancer in rack_mod.DEFAULT_BALANCERS:
-                for rho in utils:
-                    for name in names:
-                        for seed in seeds:
-                            cells.append(
-                                Cell.make(
-                                    experiment,
-                                    {
-                                        "system": name,
-                                        "workload": workload,
-                                        "balancer": balancer,
-                                        "rho": rho,
-                                        "n_requests": n,
-                                        "n_servers": rack_mod.N_SERVERS,
-                                    },
-                                    seed,
-                                )
-                            )
-    else:
+    if spec.kind == "selftest":
         raise ConfigurationError(f"experiment {experiment!r} is not plannable")
+    cells = [
+        spec.cell(seed, **point)
+        for point in _grid(spec, utils, n)
+        for seed in seeds
+    ]
     return SweepPlan(
         experiment=experiment,
         seeds=tuple(int(s) for s in seeds),

@@ -112,22 +112,12 @@ def _run_load_cell(cell, spec, observers) -> _Outcome:
 
 def _run_reserved_cell(cell, spec, observers) -> _Outcome:
     from ..experiments import figure4
-    from ..systems.persephone import PersephoneCfcfsSystem, PersephoneStaticSystem
 
     params = cell.params_dict
-    choice = params["system"]
-    if choice == "c-FCFS":
-        system = PersephoneCfcfsSystem(n_workers=figure4.N_WORKERS, name="c-FCFS")
-    elif choice.startswith("reserved"):
-        k = int(choice[len("reserved"):])
-        if not 0 <= k < figure4.N_WORKERS:
-            raise ConfigurationError(
-                f"cell {cell.cell_id}: reserved count {k} out of range"
-            )
-        system = PersephoneStaticSystem(n_reserved=k, n_workers=figure4.N_WORKERS)
-    else:
+    system = figure4.systems().get(params["system"])
+    if system is None:
         raise ConfigurationError(
-            f"cell {cell.cell_id}: unknown figure4 system {choice!r}"
+            f"cell {cell.cell_id}: unknown figure4 system {params['system']!r}"
         )
     return _run_load_point(cell, system, spec.spec_for(params["workload"]), observers)
 

@@ -94,7 +94,7 @@ class TestSeedsAndJobs:
         monkeypatch.setattr(cli, "QUICK_N", 300)
         assert main(
             [
-                "figure3", "--quick", "--jobs", "2",
+                "figure3", "--quick", "--jobs", "2", "--seeds", "1",
                 "--sweep-dir", str(tmp_path / "ckpt"),
             ]
         ) == 0
@@ -102,6 +102,15 @@ class TestSeedsAndJobs:
         assert "pooling" in out
         assert "repro-sweep run" in out
         assert (tmp_path / "ckpt" / "merged.json").exists()
+
+    def test_jobs_without_seeds_exits_2(self, capsys, tmp_path):
+        # Pooled cells always run derived seeds; the raw --seed of an
+        # in-process run has no pooled equivalent, so refuse to guess.
+        assert main(
+            ["figure3", "--quick", "--jobs", "2", "--sweep-dir", str(tmp_path)]
+        ) == 2
+        assert "--seeds" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestTraceFlag:

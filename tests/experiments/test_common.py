@@ -118,16 +118,9 @@ class TestRunSweepSeeds:
         a, b = self._sweep(seeds=(1, 2))[:2]
         assert a.summary.overall_tail_latency != b.summary.overall_tail_latency
 
-    def test_legacy_seed_deprecated_but_equivalent(self):
-        with pytest.warns(DeprecationWarning, match="seeds"):
-            legacy = self._sweep(seed=2)
-        modern = self._sweep(seeds=(2,))
-        assert [r.summary.overall_tail_latency for r in legacy] == [
-            r.summary.overall_tail_latency for r in modern
-        ]
-
     def test_seed_and_seeds_together_rejected(self):
-        with pytest.raises(ConfigurationError, match="not both"):
+        # The single-seed keyword is gone: every caller passes seeds=.
+        with pytest.raises(TypeError, match="seed"):
             self._sweep(seed=1, seeds=(1, 2))
 
     def test_empty_or_duplicate_seeds_rejected(self):
@@ -137,44 +130,25 @@ class TestRunSweepSeeds:
             self._sweep(seeds=(3, 3))
 
 
-class TestRunReplicatedSweep:
-    def test_runs_under_derived_cell_seeds(self):
-        from repro.experiments.common import run_replicated_sweep
-        from repro.sweep.cells import derive_seed
+class TestSweepDriver:
+    def test_replicates_run_under_cell_seeds(self):
+        from repro.experiments import figure3
 
-        spec = high_bimodal()
-        replicates = run_replicated_sweep(
-            PersephoneCfcfsSystem(n_workers=4),
-            spec,
-            [0.5],
-            seeds=(1, 2),
-            experiment="figure5",
-            workload="high_bimodal",
-            n_requests=300,
+        system = PersephoneCfcfsSystem(n_workers=4)
+        result = figure3.run(
+            utilizations=(0.5,), n_requests=300, seeds=(1, 2), systems=[system]
         )
+        replicates = result.replicates[system.name]
         assert sorted(replicates) == [1, 2]
-        assert all(len(sweep) == 1 for sweep in replicates.values())
-        # Each replicate must have run under the derived cell seed — the
-        # same one a pooled repro-sweep cell of this grid point gets.
-        for replicate, (result,) in replicates.items():
-            cell_seed = derive_seed(
-                "figure5",
-                {
-                    "system": "Persephone (c-FCFS)",
-                    "workload": "high_bimodal",
-                    "rho": 0.5,
-                    "n_requests": 300,
-                },
-                replicate,
+        # Each replicate must have run under its cell's seed — the one a
+        # pooled repro-sweep cell of this grid point gets.
+        for replicate, (run,) in replicates.items():
+            cell = figure3.EXPERIMENT.cell(
+                replicate, system=system.name, workload="high_bimodal",
+                rho=0.5, n_requests=300,
             )
-            direct = run_once(
-                PersephoneCfcfsSystem(n_workers=4),
-                spec,
-                0.5,
-                n_requests=300,
-                seed=cell_seed,
-            )
+            direct = run_once(system, high_bimodal(), 0.5, n_requests=300, seed=cell.seed)
             assert (
-                result.summary.overall_tail_latency
+                run.summary.overall_tail_latency
                 == direct.summary.overall_tail_latency
             )

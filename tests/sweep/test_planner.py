@@ -1,5 +1,9 @@
 """Planner: grid expansion, registry reuse, plan serialization."""
 
+import hashlib
+import importlib
+import json
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -129,3 +133,71 @@ class TestPlanSelftest:
         plan = plan_selftest(4, seeds=(1,), mode="ok")
         seeds = [c.seed for c in plan.cells]
         assert len(set(seeds)) == len(seeds)
+
+
+#: sha256 of each experiment's ``plan_experiment(name, seeds=(1, 2))``
+#: document: a moved declaration must not change a cell id or a seed.
+PLAN_DIGESTS = {
+    "chaos": "afa57e63e1b3fab5c820b4d19c92861ea49f6f1e279fdd774dad354576b7c1ef",
+    "figure1": "c3aa5309f4a1dc9c1f85583f7404c0d06baee0029196c0f26ccc6f261f165358",
+    "figure10": "53cb71c118f32f8007617f18b8bafe468fbfbb1b2d9b0c6ad56f26d1b8b82379",
+    "figure3": "0f1727bd73e15696437eccaf48e59e72dbcb97b655e386c4a045dd5e3d977881",
+    "figure4": "6c0f15d26c8b72d6b7afce9463d3519d83d2b2dc0ba5c8e92eeb78d25d8a1236",
+    "figure5": "80ff87320135774097dcd0dd6ccd80f1b2015a070f34dd85eeafc350b749f1b8",
+    "figure6": "a71aeff2aa5321c162fdf1c8254d10bcb72b82122c1f2e56d80b307009eba7b5",
+    "figure7": "68b8d9cb803a1dc36c82b20f23c32b7033bf1994f1e997ec89f0f66825c3b5b0",
+    "figure8": "3d2eec0bab54168b9caadce907c9290c7711275b37c91d0ea1c18dfe5a70d841",
+    "figure9": "7c16c3e8bc4749e7cd72417c836a5dc3dfb70d56e7f9ffe9e4e29e138c216994",
+    "rack": "409115b3cb68fce68d9a3bbabff8d4e9228b397b07c9bba402812ae9bd7e8d91",
+}
+
+
+class TestPlanDigests:
+    def test_every_experiment_pinned(self):
+        assert sorted(PLAN_DIGESTS) == supported_experiments()
+
+    @pytest.mark.parametrize("name", sorted(PLAN_DIGESTS))
+    def test_plan_document_unchanged(self, name):
+        doc = plan_experiment(name, seeds=(1, 2)).to_doc()
+        payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(payload.encode()).hexdigest() == PLAN_DIGESTS[name]
+
+
+def _tiny_args(name):
+    """(driver kwargs, plan kwargs) for a tiny run of one experiment."""
+    if name == "figure7":
+        from repro.experiments import figure7
+
+        phases = figure7.default_phases(phase_us=2_000.0)
+        return {"phases": phases, "window_us": 1_000.0}, {}
+    driver = {"n_requests": 300}
+    plan = {"n_requests": 300}
+    if name not in ("figure4", "chaos"):
+        driver["utilizations"] = plan["utilizations"] = (0.5,)
+    return driver, plan
+
+
+class TestSerialSeedsMatchPlan:
+    """An in-process ``--seeds`` run executes exactly the planned cells."""
+
+    @pytest.mark.parametrize("name", sorted(PLAN_DIGESTS))
+    def test_driver_runs_the_cell_seeds(self, name, monkeypatch):
+        from repro.experiments import common
+
+        driver = importlib.import_module(f"repro.experiments.{name}")
+        seen = []
+        for module in (common, driver):
+            for fn in ("run_once", "run_chaos", "run_rack"):
+                real = getattr(module, fn, None)
+                if real is None:
+                    continue
+
+                def recording(*args, _real=real, **kwargs):
+                    seen.append(kwargs["seed"])
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(module, fn, recording)
+        driver_args, plan_args = _tiny_args(name)
+        driver.run(seeds=(1, 2), **driver_args)
+        plan = plan_experiment(name, seeds=(1, 2), **plan_args)
+        assert sorted(seen) == sorted(cell.seed for cell in plan.cells)
