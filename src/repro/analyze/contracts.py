@@ -53,7 +53,7 @@ CONTRACTS: Tuple[ContractSpec, ...] = (
             "bind",
             "on_worker_crash",
             "on_worker_recover",
-            "attach_tracer",
+            "attach_hooks",
         ),
     ),
     ContractSpec(

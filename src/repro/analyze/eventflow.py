@@ -21,7 +21,10 @@ The analysis proceeds in three steps:
    (``Scheduler.x``), so a base-class helper and a subclass override
    compare against the same field names; calls into methods known only
    by name (``worker.end()``) expand through every in-program class
-   defining that method.
+   defining that method.  A request-hook loop (``for hook in
+   self.hooks.on_drop: hook(...)``, :mod:`repro.observe`) calls the
+   observers' ``on_drop`` methods, so ``hook(...)`` expands by the hook
+   name the same way.
 3. **Pairing** — two sites can tie when both use equal constant delays
    (A001) or when at least one books at an absolute, externally supplied
    time (A002).  A pair with conflicting effect sets becomes a finding,
@@ -177,6 +180,7 @@ class EffectAnalyzer:
         ns = self._namespace(fn)
         reads: Set[str] = set()
         writes: Set[str] = set()
+        hook_names = _hook_loop_names(fn.node)
 
         def self_key(attr: str) -> str:
             return f"{ns}.{attr}"
@@ -203,7 +207,9 @@ class EffectAnalyzer:
                 ):
                     writes.add(self_key(target.attr))
             elif isinstance(node, ast.Call):
-                self._call_effects(fn, node, ns, reads, writes, depth, visiting)
+                self._call_effects(
+                    fn, node, ns, reads, writes, depth, visiting, hook_names
+                )
 
         result = Effects(reads, writes)
         if depth == 0:
@@ -219,6 +225,7 @@ class EffectAnalyzer:
         writes: Set[str],
         depth: int,
         visiting: Set[str],
+        hook_names: Dict[str, str],
     ) -> None:
         func = call.func
         # self.X.mutator(...) mutates the self attribute X.
@@ -237,10 +244,15 @@ class EffectAnalyzer:
             reads.update(sub.reads)
             writes.update(sub.writes)
             return
-        # Unresolved receiver: expand by method name when the program
-        # defines it, else record mutators/handlers as symbolic writes.
+        # Unresolved receiver (or a hook-loop variable): expand by method
+        # name when the program defines it, else record mutators/handlers
+        # as symbolic writes.
+        name = None
         if isinstance(func, ast.Attribute):
             name = func.attr
+        elif isinstance(func, ast.Name):
+            name = hook_names.get(func.id)
+        if name is not None:
             definers = self._by_name.get(name, ())
             if definers and (name in _MUTATORS or name.startswith(("on_", "handle_"))):
                 for target in definers:
@@ -250,6 +262,19 @@ class EffectAnalyzer:
                 writes.add(f"*.{name}()")
             elif name in _MUTATORS or name.startswith(("on_", "handle_")):
                 writes.add(f"*.{name}()")
+
+
+def _hook_loop_names(node: ast.AST) -> Dict[str, str]:
+    """Loop variable -> hook name, for every request-hook loop
+    (``for hook in <expr>.on_x:`` or, hoisted, ``for hook in on_x:``)."""
+    names: Dict[str, str] = {}
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.For) and isinstance(sub.target, ast.Name):
+            it = sub.iter
+            hook = it.attr if isinstance(it, ast.Attribute) else getattr(it, "id", "")
+            if hook.startswith("on_"):
+                names[sub.target.id] = hook
+    return names
 
 
 def _conflict(a: Effects, b: Effects) -> Set[str]:

@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Sequence, Set
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..observe import NO_HOOKS
 from ..server.server import Server
 from ..workload.request import Request
 
@@ -50,10 +51,10 @@ class Balancer(ABC):
         self.routed = 0
         #: Requests routed to each replica index (telemetry view).
         self.route_counts: List[int] = [0] * len(self.servers)
-        #: Optional pure observer called as ``sink(request, index)``
-        #: after every routing decision, before the request is handed to
-        #: the chosen replica (rack tracing's balancer decision log).
-        self._decision_sink = None
+        #: The run's request-hook table (:mod:`repro.observe`); its
+        #: ``on_route`` hooks see every routing decision before the
+        #: request is handed to the chosen replica.
+        self.hooks = NO_HOOKS
         #: Replica indices currently partitioned away from this front
         #: end (``repro.rack`` partition faults); never routed to while
         #: any reachable replica exists.
@@ -100,19 +101,6 @@ class Balancer(ABC):
                 best = i
         return best
 
-    def attach_decision_sink(self, sink) -> None:
-        """Attach a pure routing-decision observer (one per balancer).
-
-        The sink must observe only — no event scheduling, no RNG draws,
-        no server mutation — so armed and unarmed runs stay
-        bit-identical.
-        """
-        if self._decision_sink is not None:
-            raise ConfigurationError(
-                "balancer already has a decision sink; use one per run"
-            )
-        self._decision_sink = sink
-
     def ingress(self, request: Request) -> None:
         """The cluster's single entry point (the generator's sink)."""
         self.routed += 1
@@ -121,8 +109,8 @@ class Balancer(ABC):
         else:
             index = self.dead_fallback(request)
         self.route_counts[index] += 1
-        if self._decision_sink is not None:
-            self._decision_sink(request, index)
+        for hook in self.hooks.on_route:
+            hook(request, index)
         self.servers[index].ingress(request)
 
 

@@ -17,6 +17,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ..errors import ClassifierError
+from ..observe import NO_HOOKS
 from ..sim.units import nanoseconds
 from ..workload.request import UNKNOWN_TYPE, Request
 
@@ -33,9 +34,9 @@ class RequestClassifier(ABC):
         self.cost_us = cost_us
         self.classified = 0
         self.unknown = 0
-        #: Optional :class:`~repro.trace.tracer.Tracer` (set by DARC's
-        #: ``attach_tracer``); None when tracing is off.
-        self.tracer = None
+        #: The run's request-hook table (:mod:`repro.observe`), set by
+        #: DARC's ``attach_hooks``.
+        self.hooks = NO_HOOKS
 
     @abstractmethod
     def _classify(self, request: Request) -> int:
@@ -48,8 +49,8 @@ class RequestClassifier(ABC):
         self.classified += 1
         if type_id == UNKNOWN_TYPE:
             self.unknown += 1
-        if self.tracer is not None:
-            self.tracer.on_classified(request, type_id)
+        for hook in self.hooks.on_classified:
+            hook(request, type_id)
         return type_id
 
 

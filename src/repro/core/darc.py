@@ -194,11 +194,11 @@ class DarcScheduler(Scheduler):
     # ------------------------------------------------------------------
     # binding / oracle setup
     # ------------------------------------------------------------------
-    def attach_tracer(self, tracer) -> None:
-        """Forward the tracer to the classifier so the decision log sees
-        every classification on the dispatch path."""
-        super().attach_tracer(tracer)
-        self.classifier.tracer = tracer
+    def attach_hooks(self, hooks) -> None:
+        """Forward the hook table to the classifier so the ``on_classified``
+        hooks see every classification on the dispatch path."""
+        super().attach_hooks(hooks)
+        self.classifier.hooks = hooks
 
     def on_bound(self) -> None:
         self._waste_last_t = self.loop.now
@@ -440,11 +440,11 @@ class DarcScheduler(Scheduler):
             count += len(queue)
         return count
 
-    def _complete(self, worker: Worker, request: Request) -> None:
+    def _complete(self, worker: Worker, request: Request, overhead: float = 0.0) -> None:
         # Integrate CPU-waste *before* the base class frees the worker so
         # the elapsed busy interval is attributed correctly.
         self._tick_waste()
-        super()._complete(worker, request)
+        super()._complete(worker, request, overhead)
 
     # ------------------------------------------------------------------
     # profiling & reservation updates
@@ -602,17 +602,8 @@ class DarcScheduler(Scheduler):
                 for tid in covered
             }
             self.reservation_log.append((self.loop.now, reserved_counts))
-            if self.tracer is not None:
-                self.tracer.on_reservation(
-                    self._last_entries,
-                    reserved_counts,
-                    self.reservation.spillway_worker,
-                    len(alive),
-                )
-            if self.telemetry is not None:
-                self.telemetry.on_reservation(
-                    self.reservation, reserved_counts, len(alive)
-                )
+            for hook in self.hooks.on_reservation:
+                hook(self.reservation, self._last_entries, reserved_counts, len(alive))
         # Newly-permitted idle workers should pick up pending work now.
         for tid in self._order:
             self._dispatch_type(tid)

@@ -9,10 +9,11 @@ comma-separated with a header row.
 from __future__ import annotations
 
 import io
-from typing import Dict, List, Optional, TextIO
+from typing import Dict, List, Optional, TextIO, Union
 
 from ..analysis.slo import MetricFn, overall_slowdown_metric
 from ..metrics.summary import RunSummary
+from ..rack.rack import RackResult
 from .common import RunResult
 from .results import FigureResult
 
@@ -38,16 +39,30 @@ def summary_to_dict(summary: RunSummary) -> Dict[str, object]:
     return out
 
 
-def result_to_dict(result: RunResult) -> Dict[str, object]:
-    """Flatten a RunResult (run metadata + its summary)."""
-    out: Dict[str, object] = {
-        "system": result.system_name,
-        "workload": result.spec.name,
-        "utilization": result.utilization,
-        "offered_rate_mrps": result.offered_rate,
-        "mean_worker_utilization": result.util_report.mean_utilization,
-        "idle_cores": result.util_report.idle_cores,
-    }
+def result_to_dict(result: Union[RunResult, RackResult]) -> Dict[str, object]:
+    """Flatten one load point's result (run metadata + its summary).
+
+    A rack point is keyed by its balancer; its system is the sweep it
+    belongs to (:func:`figure_to_csv` adds it).
+    """
+    out: Dict[str, object]
+    if isinstance(result, RackResult):
+        out = {
+            "balancer": result.balancer_name,
+            "workload": result.spec.name,
+            "utilization": result.utilization,
+            "n_servers": result.n_servers,
+            "load_imbalance": result.load_imbalance(),
+        }
+    else:
+        out = {
+            "system": result.system_name,
+            "workload": result.spec.name,
+            "utilization": result.utilization,
+            "offered_rate_mrps": result.offered_rate,
+            "mean_worker_utilization": result.util_report.mean_utilization,
+            "idle_cores": result.util_report.idle_cores,
+        }
     out.update(summary_to_dict(result.summary))
     return out
 
@@ -85,7 +100,8 @@ def figure_to_csv(
     rows: List[Dict[str, object]] = []
     for system_name, sweep in figure.sweeps.items():
         for result in sweep:
-            row = result_to_dict(result)
+            row: Dict[str, object] = {"system": system_name}
+            row.update(result_to_dict(result))
             row["figure"] = figure.name
             row["metric"] = metric(result)
             rows.append(row)

@@ -21,6 +21,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..observe import NO_HOOKS
 from ..server.server import Server
 from ..sim.engine import EventLoop
 from ..workload.request import Request
@@ -60,8 +61,9 @@ class FaultInjector:
         self._sink = None
         self._armed = False
         self._dup_seq = 0
-        #: Optional :class:`~repro.trace.tracer.Tracer` fed fault events.
-        self._tracer = None
+        #: The run's request-hook table (:mod:`repro.observe`); its
+        #: ``on_fault`` hooks see every injected fault.
+        self.hooks = NO_HOOKS
 
         #: Chronological record of injected faults: (time, kind, detail).
         self.log: List[Tuple[float, str, int]] = []
@@ -98,9 +100,11 @@ class FaultInjector:
                     loop.call_at(event.until, self._slowdown_end, event)
             # Packet windows are consulted per-arrival in ingress().
 
-    def attach_tracer(self, tracer) -> None:
-        """Feed fault events into a tracer's scheduler decision log."""
-        self._tracer = tracer
+    def _record(self, kind: str, detail: int, **payload) -> None:
+        """Log one injected fault and show it to the ``on_fault`` hooks."""
+        self.log.append((self._loop.now, kind, detail))
+        for hook in self.hooks.on_fault:
+            hook(kind, **payload)
 
     # ------------------------------------------------------------------
     # worker faults
@@ -117,14 +121,13 @@ class FaultInjector:
                 self.requeued += 1
             else:
                 self.dropped_in_flight += 1
-        self.log.append((self._loop.now, "crash", event.worker_id))
-        if self._tracer is not None:
-            self._tracer.on_fault(
-                "crash",
-                worker=event.worker_id,
-                victim_rid=None if victim is None else victim.rid,
-                requeue=event.requeue,
-            )
+        self._record(
+            "crash",
+            event.worker_id,
+            worker=event.worker_id,
+            victim_rid=None if victim is None else victim.rid,
+            requeue=event.requeue,
+        )
 
     def _recover(self, event: WorkerRecover) -> None:
         assert self._server is not None and self._loop is not None
@@ -133,20 +136,14 @@ class FaultInjector:
             return
         self._server.scheduler.on_worker_recover(worker)
         self.recoveries += 1
-        self.log.append((self._loop.now, "recover", event.worker_id))
-        if self._tracer is not None:
-            self._tracer.on_fault("recover", worker=event.worker_id)
+        self._record("recover", event.worker_id, worker=event.worker_id)
 
     def _slowdown_start(self, event: WorkerSlowdown) -> None:
         assert self._server is not None and self._loop is not None
         worker = self._server.workers[event.worker_id]
         worker.set_speed(event.factor)
         self.slowdowns += 1
-        self.log.append((self._loop.now, "slowdown", event.worker_id))
-        if self._tracer is not None:
-            self._tracer.on_fault(
-                "slowdown", worker=event.worker_id, factor=event.factor
-            )
+        self._record("slowdown", event.worker_id, worker=event.worker_id, factor=event.factor)
 
     def _slowdown_end(self, event: WorkerSlowdown) -> None:
         assert self._server is not None and self._loop is not None
@@ -154,9 +151,7 @@ class FaultInjector:
         # A crash+recover inside the window already reset the factor;
         # restoring to full speed twice is harmless.
         worker.set_speed(1.0)
-        self.log.append((self._loop.now, "slowdown-end", event.worker_id))
-        if self._tracer is not None:
-            self._tracer.on_fault("slowdown-end", worker=event.worker_id)
+        self._record("slowdown-end", event.worker_id, worker=event.worker_id)
 
     # ------------------------------------------------------------------
     # packet faults (the ingress interposition point)
@@ -169,9 +164,7 @@ class FaultInjector:
         for window in self._drop_windows:
             if window.active(now) and self.rng.random() < window.probability:
                 self.packets_dropped += 1
-                self.log.append((now, "packet-drop", request.rid))
-                if self._tracer is not None:
-                    self._tracer.on_fault("packet-drop", rid=request.rid)
+                self._record("packet-drop", request.rid, rid=request.rid)
                 return  # lost on the wire; only a client timeout rescues it
         self._sink(request)
         for window in self._dup_windows:
@@ -185,11 +178,7 @@ class FaultInjector:
                 dup.retry_of = request.rid
                 self._dup_seq += 1
                 self.packets_duplicated += 1
-                self.log.append((now, "packet-dup", request.rid))
-                if self._tracer is not None:
-                    self._tracer.on_fault(
-                        "packet-dup", rid=request.rid, dup_rid=dup.rid
-                    )
+                self._record("packet-dup", request.rid, rid=request.rid, dup_rid=dup.rid)
                 self._sink(dup)
 
     # ------------------------------------------------------------------

@@ -22,11 +22,42 @@ The keyword arguments, shared by all three entry points:
   :class:`~repro.telemetry.probe.TelemetryProbe` and its
   ``.prom``/``.jsonl``/``.html`` exports (``metrics_path`` is the
   extensionless base).
+
+Besides the per-event loop hooks, observers see requests through the
+request-level hooks named in :data:`HOOKS`.  :func:`attach` collects
+them into one :class:`Hooks` table, and every component with a hook
+site (server, scheduler, DARC's classifier, fault injector, balancer)
+holds one reference to it.  A bare run shares :data:`NO_HOOKS`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterable, Optional
+
+#: The request-level hooks an observer may implement; their signatures
+#: and hook sites are tabled in docs/observability.md.
+HOOKS = (
+    "on_ingress", "on_dispatcher_drop", "on_classified", "on_dispatch",
+    "on_preempt", "on_evict", "on_complete", "on_drop", "on_steal",
+    "on_reservation", "on_fault", "on_route",
+)
+
+
+class Hooks:
+    """One run's request-hook table: per hook in :data:`HOOKS`, the tuple
+    of the observers' bound methods in attach order (observers without
+    the method are left out).  A hook site is one loop over one tuple."""
+
+    __slots__ = HOOKS
+
+    def __init__(self, observers: Iterable[Any] = ()):
+        observers = [o for o in observers if o is not None]
+        for name in HOOKS:
+            setattr(self, name, tuple(getattr(o, name) for o in observers if hasattr(o, name)))
+
+
+#: The table every component starts with: no observer attached.
+NO_HOOKS = Hooks()
 
 
 class Observers:
@@ -116,7 +147,9 @@ def attach(
     events the tracer and probe record), or the assembled ``rack``.
     Call it before the load source starts: the probe takes its first
     scrape here.  Observers register in a fixed order — sanitizer,
-    tracer(s), probe — which is the order the loop notifies them in.
+    tracer(s), probe — which is the order the loop notifies them in and
+    the order of every tuple in the run's :class:`Hooks` table.  On a
+    rack each replica gets its own table, naming that replica's tracer.
     """
     sanitizer = None
     if sanitize:
@@ -135,23 +168,29 @@ def attach(
             tracer = Tracer()
     if tracer is not None:
         if rack is not None:
-            tracer.install(loop, rack.servers, rack.views, rack.balancer)
+            tracer.install(loop, rack.servers, rack.views)
         else:
-            tracer.install(loop, server, injector=injector)
+            tracer.install(loop, server)
     if telemetry is None and metrics_path is not None:
         from .telemetry import TelemetryProbe
 
         telemetry = TelemetryProbe()
     if telemetry is not None:
+        # On a rack the first scrape, taken by install, precedes the
+        # rack's pull source.
+        telemetry.install(loop, server, injector=injector)
         if rack is not None:
-            # The first scrape, taken by install, precedes the rack's
-            # pull source.
-            telemetry.install(loop)
-            for replica in rack.servers:
-                replica.attach_telemetry(telemetry)
             telemetry.register_rack(rack)
-        else:
-            telemetry.install(loop, server, injector=injector)
+    hooks = Hooks((sanitizer, tracer, telemetry))
+    if rack is None:
+        server.attach_hooks(hooks)
+        if injector is not None:
+            injector.hooks = hooks
+    else:
+        rack.balancer.hooks = hooks
+        for index, replica in enumerate(rack.servers):
+            replica_tracer = None if tracer is None else tracer.tracers[index]
+            replica.attach_hooks(Hooks((sanitizer, replica_tracer, telemetry)))
     return Observers(
         sanitizer,
         tracer,

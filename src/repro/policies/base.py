@@ -4,7 +4,9 @@ Every scheduling policy implements :class:`Scheduler`.  The server calls
 ``on_request`` when a request reaches the dispatcher and the base class
 routes completions back through ``on_worker_free``.  Non-preemptive
 policies only ever use :meth:`Scheduler.begin_service`; preemptive ones
-(time sharing) manage their own slice events.
+(time sharing, SRPT) manage their own slice events.  Every policy
+finishes a request through :meth:`Scheduler._complete`, which fires the
+``on_complete`` hooks and the recorder callback.
 
 :class:`PolicyTraits` captures the taxonomy of Table 1 / Table 5 so the
 table-reproduction benchmarks can generate those rows from code instead
@@ -18,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import SchedulingError
+from ..observe import NO_HOOKS
 from ..server.worker import Worker
 from ..sim.engine import EventLoop
 from ..sim.events import Event
@@ -58,12 +61,9 @@ class Scheduler(ABC):
         self._on_complete: Optional[CompletionCallback] = None
         self._on_drop: Optional[DropCallback] = None
         self._bound = False
-        #: Optional :class:`~repro.trace.tracer.Tracer`; None when off,
-        #: making every hook site a single ``is None`` test.
-        self.tracer = None
-        #: Optional :class:`~repro.telemetry.probe.TelemetryProbe`;
-        #: same contract as the tracer (pure observer, None when off).
-        self.telemetry = None
+        #: The run's request-hook table (:mod:`repro.observe`); every
+        #: hook site loops over one of its tuples.
+        self.hooks = NO_HOOKS
         #: worker_id -> the pending service event (completion, quantum
         #: boundary, ...) for the request currently on that core.  Fault
         #: injection cancels this event when the core crashes mid-service.
@@ -94,21 +94,13 @@ class Scheduler(ABC):
     def on_bound(self) -> None:
         """Hook for subclasses to build per-worker state after binding."""
 
-    def attach_tracer(self, tracer) -> None:
-        """Install (or detach, with ``None``) a request tracer.
+    def attach_hooks(self, hooks) -> None:
+        """Install the run's request-hook table.
 
         Subclasses with additional observable components (DARC's
-        classifier) override this to forward the tracer to them.
+        classifier) override this to forward the table to them.
         """
-        self.tracer = tracer
-
-    def attach_telemetry(self, telemetry) -> None:
-        """Install (or detach, with ``None``) a telemetry probe.
-
-        The probe's push hooks fire at the same sites as the tracer's
-        (completion, drop, eviction, preemption, steal, reservation).
-        """
-        self.telemetry = telemetry
+        self.hooks = hooks
 
     # ------------------------------------------------------------------
     # the policy surface
@@ -149,8 +141,8 @@ class Scheduler(ABC):
         now = self.loop.now
         request.dispatch_time = now
         worker.begin(request, now)
-        if self.tracer is not None:
-            self.tracer.on_dispatch(request, worker)
+        for hook in self.hooks.on_dispatch:
+            hook(request, worker)
         occupancy = request.remaining_time * worker.speed_factor
         if worker.speed_factor != 1.0:
             # A straggling core holds the request longer than its nominal
@@ -158,18 +150,19 @@ class Scheduler(ABC):
             request.overhead_time += occupancy - request.remaining_time
         self.schedule_service_event(worker, occupancy, self._complete, worker, request)
 
-    def _complete(self, worker: Worker, request: Request) -> None:
+    def _complete(self, worker: Worker, request: Request, overhead: float = 0.0) -> None:
+        """Finish ``request`` on ``worker``: the one completion path every
+        policy ends a request through.  ``overhead`` is the share of the
+        busy interval that was scheduling overhead (a work steal's cost)."""
         assert self.loop is not None
         now = self.loop.now
         self._service_events.pop(worker.worker_id, None)
-        worker.end(now)
+        worker.end(now, overhead=overhead)
         worker.completed += 1
         request.remaining_time = 0.0
         request.finish_time = now
-        if self.tracer is not None:
-            self.tracer.on_complete(request, worker)
-        if self.telemetry is not None:
-            self.telemetry.on_complete(request, worker)
+        for hook in self.hooks.on_complete:
+            hook(request, worker)
         if self._on_complete is not None:
             self._on_complete(request)
         self.completion_hook(worker, request)
@@ -182,10 +175,8 @@ class Scheduler(ABC):
     def drop(self, request: Request) -> None:
         """Flow control: reject ``request`` (bounded queue overflow)."""
         request.dropped = True
-        if self.tracer is not None:
-            self.tracer.on_drop(request)
-        if self.telemetry is not None:
-            self.telemetry.on_drop(request)
+        for hook in self.hooks.on_drop:
+            hook(request)
         if self._on_drop is not None:
             self._on_drop(request)
 
@@ -207,10 +198,8 @@ class Scheduler(ABC):
             if event is not None:
                 event.cancel()
             victim = worker.end(self.loop.now)
-            if self.tracer is not None:
-                self.tracer.on_evict(victim, worker, requeue)
-            if self.telemetry is not None:
-                self.telemetry.on_evict(victim, worker, requeue)
+            for hook in self.hooks.on_evict:
+                hook(victim, worker, requeue)
             # The crashed attempt is wasted occupancy, not service.
             victim.worker_id = None
             victim.dispatch_time = None

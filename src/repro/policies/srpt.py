@@ -109,12 +109,13 @@ class ShortestRemainingProcessingTime(Scheduler):
             request.overhead_time += cost
             self.schedule_service_event(worker, cost, self._preempt_done, worker, request, cost)
         else:
-            worker.end(now)
-            self._push(request)
-            self.on_worker_free(worker)
+            self._preempt_done(worker, request, cost)
 
     def _preempt_done(self, worker: Worker, request: Request, cost: float) -> None:
+        """The preemption landed: release ``worker`` and requeue ``request``."""
         worker.end(self.loop.now, overhead=cost)
+        for hook in self.hooks.on_preempt:
+            hook(request, worker, cost)
         self._push(request)
         self.on_worker_free(worker)
 
@@ -123,8 +124,10 @@ class ShortestRemainingProcessingTime(Scheduler):
         if request.dispatch_time is None:
             request.dispatch_time = now
         worker.begin(request, now)
+        for hook in self.hooks.on_dispatch:
+            hook(request, worker)
         finish_event = self.schedule_service_event(
-            worker, request.remaining_time, self._finish, worker, request
+            worker, request.remaining_time, self._complete, worker, request
         )
         self._running[worker.worker_id] = (request, now, finish_event)
 
@@ -134,17 +137,11 @@ class ShortestRemainingProcessingTime(Scheduler):
         self._running.pop(worker.worker_id, None)
         return super().on_worker_crash(worker, requeue=requeue)
 
-    def _finish(self, worker: Worker, request: Request) -> None:
-        now = self.loop.now
+    def _complete(self, worker: Worker, request: Request, overhead: float = 0.0) -> None:
+        # Drop the running-bookkeeping entry before the base class frees
+        # the worker and refills it.
         self._running.pop(worker.worker_id, None)
-        worker.end(now)
-        worker.completed += 1
-        request.remaining_time = 0.0
-        request.finish_time = now
-        if self._on_complete is not None:
-            self._on_complete(request)
-        self.completion_hook(worker, request)
-        self.on_worker_free(worker)
+        super()._complete(worker, request, overhead)
 
     def on_worker_free(self, worker: Worker) -> None:
         if not worker.is_free:

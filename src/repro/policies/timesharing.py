@@ -189,14 +189,14 @@ class TimeSharing(Scheduler):
         if request.dispatch_time is None:
             request.dispatch_time = now
         worker.begin(request, now)
-        if self.tracer is not None:
-            self.tracer.on_dispatch(request, worker)
+        for hook in self.hooks.on_dispatch:
+            hook(request, worker)
         slice_us = min(request.remaining_time, self.quantum_us)
         # A straggling core executes the slice speed_factor times slower;
         # slice_us stays nominal (it is what remaining_time is charged).
         wall = slice_us * worker.speed_factor
         if slice_us >= request.remaining_time:
-            self.schedule_service_event(worker, wall, self._slice_finished, worker, request)
+            self.schedule_service_event(worker, wall, self._complete, worker, request)
         elif self.trigger == "demand":
             self.schedule_service_event(
                 worker, wall, self._quantum_boundary, worker, request, slice_us
@@ -239,7 +239,7 @@ class TimeSharing(Scheduler):
 
     def _overdue_finished(self, worker: Worker, request: Request) -> None:
         self._overdue.pop(worker.worker_id, None)
-        self._slice_finished(worker, request)
+        self._complete(worker, request)
 
     def _preempt_most_overdue(self) -> None:
         """A blocked arrival interrupts the longest-running overdue
@@ -266,33 +266,14 @@ class TimeSharing(Scheduler):
         self._overdue.pop(worker.worker_id, None)
         return super().on_worker_crash(worker, requeue=requeue)
 
-    def _slice_finished(self, worker: Worker, request: Request) -> None:
-        assert self.loop is not None
-        now = self.loop.now
-        self._service_events.pop(worker.worker_id, None)
-        worker.end(now)
-        worker.completed += 1
-        request.remaining_time = 0.0
-        request.finish_time = now
-        if self.tracer is not None:
-            self.tracer.on_complete(request, worker)
-        if self.telemetry is not None:
-            self.telemetry.on_complete(request, worker)
-        if self._on_complete is not None:
-            self._on_complete(request)
-        self.completion_hook(worker, request)
-        self.on_worker_free(worker)
-
     def _slice_preempted(
         self, worker: Worker, request: Request, slice_us: float, cost: float
     ) -> None:
         assert self.loop is not None
         self._service_events.pop(worker.worker_id, None)
         worker.end(self.loop.now, overhead=cost)
-        if self.tracer is not None:
-            self.tracer.on_preempt(request, worker, cost)
-        if self.telemetry is not None:
-            self.telemetry.on_preempt(request, worker, cost)
+        for hook in self.hooks.on_preempt:
+            hook(request, worker, cost)
         request.remaining_time -= slice_us
         request.preemption_count += 1
         request.overhead_time += cost

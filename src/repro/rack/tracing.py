@@ -4,7 +4,8 @@ A rack run has N full servers behind one balancer, and a
 :class:`~repro.trace.tracer.Tracer` samples exactly one server.
 :class:`RackTracer` owns one plain tracer per replica; each registers
 itself as an observer of the shared loop, so every replica keeps its
-periodic samples.
+periodic samples, and each replica's request-hook table names that
+replica's tracer (:func:`repro.observe.attach`).
 
 On top of the per-replica spans it records the **balancer decision
 log**: one ``route`` entry per arriving request — replica chosen, the
@@ -55,9 +56,10 @@ class RackTracer:
     # ------------------------------------------------------------------
     # wiring
     # ------------------------------------------------------------------
-    def install(self, loop, servers, views, balancer) -> None:
-        """Attach to a rack: one registered tracer per replica, plus the
-        balancer's route sink."""
+    def install(self, loop, servers, views) -> None:
+        """Attach to a rack: one registered tracer per replica.  The
+        balancer's ``on_route`` hook reaches :meth:`on_route` through
+        the run's hook table."""
         if self._loop is not None:
             raise TraceError("rack tracer already installed; use one per run")
         if not servers:
@@ -73,7 +75,6 @@ class RackTracer:
             )
             tracer.install(loop, server)
             self.tracers.append(tracer)
-        balancer.attach_decision_sink(self.on_route)
 
     @property
     def n_servers(self) -> int:
@@ -88,7 +89,8 @@ class RackTracer:
     # hooks
     # ------------------------------------------------------------------
     def on_route(self, request, index: int) -> None:
-        """One balancer routing decision (the balancer's sink)."""
+        """One balancer routing decision, made before the request is
+        handed to replica ``index``."""
         viewed, age = self._views.peek(index)
         server = self._servers[index]
         self.routes.append(

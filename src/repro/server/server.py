@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, List, Optional
 from ..errors import ConfigurationError
 from ..metrics.recorder import Recorder
 from ..metrics.utilization import UtilizationReport
+from ..observe import NO_HOOKS
 from ..sim.engine import EventLoop
 
 if TYPE_CHECKING:  # avoid a circular import (policies.base uses Worker)
@@ -55,10 +56,9 @@ class Server:
             completion_sink if completion_sink is not None else self.recorder.on_complete
         )
         self._drop_sink = drop_sink if drop_sink is not None else self.recorder.on_drop
-        #: Optional per-request observer (``repro.trace``); None when off.
-        self._tracer = None
-        #: Optional metrics probe (``repro.telemetry``); None when off.
-        self._telemetry = None
+        #: The run's request-hook table (:mod:`repro.observe`), shared
+        #: with the scheduler.
+        self.hooks = NO_HOOKS
         scheduler.bind(loop, self.workers, self._completion_sink, self._drop_sink)
         #: Ingress runs once per arrival; the config is immutable for the
         #: server's lifetime, so the property sums and the scheduler's
@@ -69,22 +69,16 @@ class Server:
         self._dispatcher_queue_capacity = self.config.dispatcher_queue_capacity
         self._on_request = scheduler.on_request
 
-    def attach_tracer(self, tracer) -> None:
-        """Install a :class:`~repro.trace.tracer.Tracer` on the ingress
-        path and forward it to the scheduler's own hook sites."""
-        self._tracer = tracer
-        self.scheduler.attach_tracer(tracer)
-
-    def attach_telemetry(self, telemetry) -> None:
-        """Install a :class:`~repro.telemetry.probe.TelemetryProbe` and
-        forward it to the scheduler's push-hook sites."""
-        self._telemetry = telemetry
-        self.scheduler.attach_telemetry(telemetry)
+    def attach_hooks(self, hooks) -> None:
+        """Install the run's request-hook table on the ingress path and
+        forward it to the scheduler's own hook sites."""
+        self.hooks = hooks
+        self.scheduler.attach_hooks(hooks)
 
     def ingress(self, request: Request) -> None:
         """Entry point for arriving requests (the generator's sink)."""
         self.received += 1
-        tracer = self._tracer
+        on_ingress = self.hooks.on_ingress
         loop = self.loop
         delay = self._ingress_delay_us
         cost = self._dispatcher_service_us
@@ -96,23 +90,24 @@ class Server:
                 # The dispatcher cannot keep up; the NIC ring overflows.
                 self.dispatcher_drops += 1
                 request.dropped = True
-                if tracer is not None:
-                    tracer.on_ingress(request, now)
-                    tracer.on_dispatcher_drop(request)
+                for hook in on_ingress:
+                    hook(request, now)
+                for hook in self.hooks.on_dispatcher_drop:
+                    hook(request)
                 self._drop_sink(request)
                 return
             self._dispatcher_free_at = max(now, self._dispatcher_free_at) + cost
             sched_at = self._dispatcher_free_at + delay
-            if tracer is not None:
-                tracer.on_ingress(request, sched_at)
+            for hook in on_ingress:
+                hook(request, sched_at)
             loop.call_at(sched_at, self._on_request, request)
         elif delay > 0:
-            if tracer is not None:
-                tracer.on_ingress(request, loop.now + delay)
+            for hook in on_ingress:
+                hook(request, loop.now + delay)
             loop.call_after(delay, self._on_request, request)
         else:
-            if tracer is not None:
-                tracer.on_ingress(request, loop.now)
+            for hook in on_ingress:
+                hook(request, loop.now)
             self._on_request(request)
 
     def utilization(self) -> UtilizationReport:

@@ -5,9 +5,10 @@ A probe owns a :class:`~repro.telemetry.registry.MetricsRegistry` and a
 run via :meth:`install`, after which two kinds of instrumentation feed
 it:
 
-* **push hooks** — the scheduler base, time sharing, work stealing and
-  DARC call ``telemetry.on_*`` at the same sites that feed the tracer
-  (completion, drop, eviction, preemption, steal, reservation install);
+* **push hooks** — the probe's ``on_*`` methods sit in the run's
+  request-hook table (:func:`repro.observe.attach`) next to the
+  tracer's, so the same sites feed both (completion, drop, eviction,
+  preemption, steal, reservation install, fault events);
 * **pull sources** — at every scrape the probe reads engine counters,
   dispatcher state, worker occupancy, per-type queue depths, recorder
   totals, fault-injector counters and the streaming tail monitor.
@@ -80,12 +81,13 @@ class TelemetryProbe:
     # wiring
     # ------------------------------------------------------------------
     def install(self, loop, server=None, injector=None) -> None:
-        """Attach this probe to a loop + server (+ optional injector).
+        """Attach this probe to a loop and its pull sources: the server
+        (and the chaos injector) it scrapes.
 
         One probe observes exactly one run.  ``server=None`` supports
-        multi-server (rack) runs: attach the loop here, then forward the
-        probe to each replica with ``server.attach_telemetry(probe)``
-        and register the rack via :meth:`register_rack`.
+        multi-server (rack) runs: register the rack via
+        :meth:`register_rack`.  The push hooks reach the probe through
+        the run's hook table (:func:`repro.observe.attach`).
         """
         if self._loop is not None:
             raise TelemetryError("probe already installed; use one probe per run")
@@ -94,8 +96,6 @@ class TelemetryProbe:
         self._injector = injector
         self._last_scrape_at = loop.now
         loop.attach_observer(self)
-        if server is not None:
-            server.attach_telemetry(self)
         self.tail_monitor.register_gauges(self.registry)
         self.scrape(loop.now)
 
@@ -116,7 +116,7 @@ class TelemetryProbe:
         return self._loop.now
 
     # ------------------------------------------------------------------
-    # push hooks (called from policies / DARC)
+    # push hooks (the run's request-hook table)
     # ------------------------------------------------------------------
     def on_complete(self, request, worker) -> None:
         """``request`` finished application processing on ``worker``."""
@@ -177,7 +177,13 @@ class TelemetryProbe:
         ).inc(cost_us)
         self.steals += 1
 
-    def on_reservation(self, reservation, reserved_counts: Dict[int, int], n_alive: int) -> None:
+    def on_reservation(
+        self,
+        reservation,
+        entries: List[Tuple[int, float, float]],
+        reserved_counts: Dict[int, int],
+        n_alive: int,
+    ) -> None:
         """DARC installed a new reservation (Algorithm 2 output).
 
         ``reserved`` gauges the workers a type's group owns outright;

@@ -1,8 +1,9 @@
 """The :class:`Tracer` — opt-in, zero-overhead-when-off observability.
 
-One tracer instance observes one run: it is installed onto the event
-loop, server, scheduler, classifier and (optionally) fault injector via
-:meth:`Tracer.install`, after which every instrumentation site feeds it:
+One tracer instance observes one run: :meth:`Tracer.install` attaches
+it to the event loop and the server it samples, and
+:func:`repro.observe.attach` puts its ``on_*`` methods into the run's
+request-hook table, after which every instrumentation site feeds it:
 
 * **spans** — per-request lifecycle events (ingress, classification,
   dispatch, preemption slices, eviction, completion/drop);
@@ -15,8 +16,8 @@ Sampling is piggybacked on executed events (the loop notifies the tracer
 after each one, mirroring the sanitizer hook) rather than scheduled as
 events of its own, so an armed tracer adds *nothing* to the event heap:
 the simulated event sequence — and therefore every recorded latency —
-is bit-identical with tracing on or off.  With no tracer attached each
-hook site costs a single ``is None`` test.
+is bit-identical with tracing on or off.  With no observer attached
+each hook site iterates an empty tuple.
 
 Determinism: the tracer reads only ``EventLoop.now`` and the objects it
 observes; it never consults a wall clock, never draws randomness, and
@@ -129,12 +130,14 @@ class Tracer:
     # ------------------------------------------------------------------
     # wiring
     # ------------------------------------------------------------------
-    def install(self, loop, server, injector=None) -> None:
-        """Attach this tracer to a loop + server (+ optional injector).
+    def install(self, loop, server) -> None:
+        """Attach this tracer to a loop and the server it samples.
 
         A tracer observes exactly one server of one run; a rack run
         registers one tracer per replica on its shared loop
-        (:class:`repro.rack.tracing.RackTracer`).
+        (:class:`repro.rack.tracing.RackTracer`).  The request hooks
+        reach it through the run's hook table
+        (:func:`repro.observe.attach`).
         """
         if self._loop is not None:
             raise TraceError("tracer already installed; use one tracer per run")
@@ -142,9 +145,6 @@ class Tracer:
         self._server = server
         self._last_sample_at = loop.now
         loop.attach_observer(self)
-        server.attach_tracer(self)
-        if injector is not None:
-            injector.attach_tracer(self)
 
     @property
     def now(self) -> float:
@@ -199,16 +199,8 @@ class Tracer:
         span.close_slice(self.now, SLICE_PREEMPT)
         span.overhead_us += overhead_us
         self.preempt_slices += 1
-        self.decisions.append(
-            Decision(
-                self.now,
-                "preempt",
-                {
-                    "rid": request.rid,
-                    "worker": worker.worker_id,
-                    "overhead_us": overhead_us,
-                },
-            )
+        self.on_decision(
+            "preempt", rid=request.rid, worker=worker.worker_id, overhead_us=overhead_us
         )
 
     def on_evict(self, request, worker, requeued: bool) -> None:
@@ -246,25 +238,35 @@ class Tracer:
     def on_decision(self, kind: str, **payload: Any) -> None:
         """Append one scheduler/fault decision at the current sim time."""
         self.decisions.append(Decision(self.now, kind, payload))
-        if kind == "steal":
-            self.steal_attempts += 1
+
+    def on_steal(self, request, thief, victim_worker_id: int, cost_us: float) -> None:
+        """The idle worker ``thief`` stole ``request`` from the head of
+        worker ``victim_worker_id``'s queue."""
+        self.on_decision(
+            "steal",
+            rid=request.rid,
+            thief=thief.worker_id,
+            victim=victim_worker_id,
+            cost_us=cost_us,
+        )
+        self.steal_attempts += 1
 
     def on_reservation(
         self,
+        reservation,
         entries: List[Tuple[int, float, float]],
         reserved_counts: Dict[int, int],
-        spillway_worker: Optional[int],
-        n_workers: int,
+        n_alive: int,
     ) -> None:
-        """A DARC reservation recomputation: Algorithm 2's inputs (the
+        """A DARC reservation install: Algorithm 2's inputs (the
         profiled (type, mean service, ratio) entries) and outputs (the
         per-type reserved worker counts + spillway)."""
         self.on_decision(
             "reservation",
             entries=[[int(t), float(s), float(r)] for (t, s, r) in entries],
             reserved={int(k): int(v) for k, v in reserved_counts.items()},
-            spillway=spillway_worker,
-            n_workers=n_workers,
+            spillway=reservation.spillway_worker,
+            n_workers=n_alive,
         )
 
     def on_fault(self, kind: str, **payload: Any) -> None:

@@ -108,6 +108,41 @@ class TestSameTimeRace:
         }
         assert rule_ids(analyze(files, select=["A001"])) == ["A001"]
 
+    def test_effects_through_request_hook_loop(self, analyze):
+        """A hook-table loop calls every ``on_x`` method of that name, so
+        ``hook(...)`` expands like an unresolved ``obj.on_x(...)`` call."""
+        files = {
+            "sim/pipe.py": """
+            class Sink:
+                def __init__(self):
+                    self.seen = []
+
+                def on_done(self, tag):
+                    self.seen.append(tag)
+
+            class Pipeline:
+                def __init__(self, loop, hooks):
+                    self.loop = loop
+                    self.hooks = hooks
+
+                def kick(self):
+                    self.loop.call_after(0.0, self.fire_a)
+                    self.loop.call_after(0.0, self.fire_b)
+
+                def fire_a(self):
+                    for hook in self.hooks.on_done:
+                        hook("a")
+
+                def fire_b(self):
+                    on_done = self.hooks.on_done
+                    for hook in on_done:
+                        hook("b")
+            """
+        }
+        findings = analyze(files, select=["A001"])
+        assert rule_ids(findings) == ["A001"]
+        assert "Sink.seen" in findings[0].message
+
     def test_noncritical_package_out_of_scope(self, analyze):
         files = {"analysis/pipe.py": RACE["sim/pipe.py"]}
         assert analyze(files, select=["A001", "A002"]) == []

@@ -61,6 +61,15 @@ class TestMain:
         assert (tmp_path / "figure5_high_bimodal.csv").exists()
         assert (tmp_path / "figure5_extreme_bimodal.csv").exists()
 
+    def test_csv_export_rack(self, capsys, tmp_path):
+        assert main(["rack", "--n-requests", "800", "--csv", str(tmp_path)]) == 0
+        lines = (tmp_path / "rack_jsq-stale.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        assert header[:2] == ["system", "balancer"]
+        rows = [line.split(",") for line in lines[1:]]
+        assert {row[0] for row in rows} == {"Shenango", "Shinjuku", "Persephone"}
+        assert {row[1] for row in rows} == {"jsq-stale"}
+
 
 class TestSeedsAndJobs:
     def test_flags_parsed(self):

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from repro.experiments.common import run_once
-from repro.faults.plan import FaultPlan, PacketDrop, PacketDup
+from repro.faults.plan import FaultPlan, PacketDrop, PacketDup, WorkerSlowdown
 from repro.faults.runner import run_chaos
 from repro.lint.determinism import digest_chaos_run
 from repro.systems.persephone import PersephoneSystem
 from repro.systems.shenango import ShenangoSystem
 from repro.systems.shinjuku import ShinjukuSystem
+from repro.telemetry import TelemetryProbe
+from repro.trace import Tracer
 from repro.workload.presets import high_bimodal
 from repro.workload.resilience import RetryPolicy
 
@@ -102,6 +104,33 @@ class TestConservationLedger:
         )
         assert res.injector.dropped_in_flight > 0
         assert res.recorder.dropped >= res.injector.dropped_in_flight
+
+
+class TestFaultEventsObserved:
+    @pytest.mark.parametrize("make_system", ALL_SYSTEMS)
+    def test_fault_counter_matches_injector_log(self, make_system):
+        plan = full_plan().add(WorkerSlowdown(500.0, 3, 2.0, until=4000.0))
+        res = run_chaos(
+            make_system(), high_bimodal(), 0.7, plan,
+            n_requests=800, seed=2, retry=default_retry(),
+            tracer=Tracer(), telemetry=TelemetryProbe(),
+        )
+        logged = {}
+        for _, kind, _ in res.injector.log:
+            logged[kind] = logged.get(kind, 0) + 1
+        assert set(logged) == {
+            "crash", "recover", "slowdown", "slowdown-end",
+            "packet-drop", "packet-dup",
+        }
+        registry = res.telemetry.registry
+        for kind, count in logged.items():
+            series = registry.get(f'repro_fault_events_total{{kind="{kind}"}}')
+            assert series is not None, kind
+            assert series.value == count, kind
+        assert registry.family_total("repro_fault_events_total") == len(res.injector.log)
+        # The tracer sees the same events through the same hook table.
+        traced = [d for d in res.tracer.decisions if d.kind.startswith("fault.")]
+        assert len(traced) == len(res.injector.log)
 
 
 class TestEmptyPlanEquivalence:

@@ -3,7 +3,13 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.common import run_once
+from repro.lint.determinism import digest_outcome
 from repro.policies.srpt import ShortestRemainingProcessingTime as SRPT
+from repro.systems.base import SystemModel
+from repro.telemetry import TelemetryProbe
+from repro.trace import Tracer
+from repro.workload.presets import high_bimodal
 
 from ..conftest import make_harness
 
@@ -87,3 +93,42 @@ class TestSrpt:
     def test_invalid_cost(self):
         with pytest.raises(ConfigurationError):
             SRPT(preempt_cost_us=-1.0)
+
+
+class SrptSystem(SystemModel):
+    name = "SRPT"
+
+    def __init__(self, preempt_cost_us: float = 0.0):
+        super().__init__(n_workers=4)
+        self.preempt_cost_us = preempt_cost_us
+
+    def make_scheduler(self, spec, rngs):
+        return SRPT(preempt_cost_us=self.preempt_cost_us)
+
+
+class TestSrptObserved:
+    """SRPT finishes requests through the base completion path and fires
+    the dispatch/preempt hooks, so the observers see every request."""
+
+    @pytest.mark.parametrize("cost", [0.0, 0.5])
+    def test_tracer_and_probe_reconcile(self, cost):
+        observed = run_once(
+            SrptSystem(cost), high_bimodal(), 0.8, n_requests=3000, seed=1,
+            tracer=Tracer(), telemetry=TelemetryProbe(),
+        )
+        recorder = observed.server.recorder
+        assert recorder.completed == 3000
+        assert observed.tracer.reconcile(recorder)["ok"]
+        assert observed.telemetry.reconcile(recorder)["ok"]
+        assert len(observed.tracer.finished_spans()) == recorder.completed
+        assert observed.telemetry.completions == recorder.completed
+        preemptions = observed.scheduler.preemptions
+        assert preemptions > 0
+        assert observed.tracer.preempt_slices == preemptions
+        assert observed.telemetry.preemptions == preemptions
+        assert not observed.tracer.open_spans()
+        # Observing the run leaves its outcome bit-identical.
+        bare = run_once(SrptSystem(cost), high_bimodal(), 0.8, n_requests=3000, seed=1)
+        assert digest_outcome(recorder, observed.server.loop) == digest_outcome(
+            bare.server.recorder, bare.server.loop
+        )
