@@ -14,9 +14,9 @@ Usage::
     repro-analyze diff src/repro --baseline analyze-baseline.json
                                                       # show new + resolved
     repro-analyze sarif src/repro -o out.sarif        # SARIF only
-    repro-analyze hotpath src/repro --profile BENCH_profile.json
-                                                      # A401-A406 only,
-                                                      # cost-ranked output
+    repro-analyze hotpath src/repro --profile ledgers/ledger-hb-trio-seed1.json
+                                                      # A401-A406 only, ranked
+                                                      # by perfbench self time
     repro-analyze units src/repro --strict            # A501-A505 only
     repro-analyze forksafety src/repro --strict       # A601-A604 only
     repro-analyze selfcheck                           # scan this package's
@@ -122,9 +122,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_scan_args(hot)
     hot.add_argument(
         "--profile",
+        action="append",
         default=None,
-        metavar="BENCH_PROFILE",
-        help="BENCH_profile.json to rank findings by measured handler cost",
+        metavar="LEDGER",
+        help="perfbench ledger (perfbench/run.py --trace 1) to rank findings "
+        "by measured self time; repeatable, self times add up",
     )
     hot.add_argument(
         "--format", choices=("text", "json"), default="text", help="findings format"
@@ -342,7 +344,7 @@ def _main(argv: Optional[List[str]] = None) -> int:
                 raise ReproError("no Python files to analyze")
             program = build_program(files, root=args.root)
             findings = analyze_program(program, select=select)
-            profile = load_profile(args.profile) if args.profile else None
+            profile = load_profile(*args.profile) if args.profile else None
 
             def emit_ranked(shown: Sequence[AnalysisFinding], fmt: str) -> None:
                 if profile is None or fmt != "text":
@@ -352,7 +354,7 @@ def _main(argv: Optional[List[str]] = None) -> int:
                     print(f"{weight * 1e3:9.3f}ms {finding.format()}")
                 print(
                     f"repro-analyze: {len(shown)} hot-path finding(s), "
-                    "ranked by measured handler cost"
+                    "ranked by measured ledger self time"
                 )
 
             return _gate(

@@ -194,10 +194,9 @@ ANALYSIS_RULES: Dict[str, RuleMeta] = {
             "constructor, or tracemalloc heap-tracking function.  "
             "Observers promise that attaching them cannot change a run "
             "and that their output is a pure function of simulated "
-            "events.  The sanctioned exceptions (the self-profiler's "
-            "timing lines, the sweep's worker-management timeouts) "
-            "pragma-tag every such line so each impurity stays "
-            "individually justified.",
+            "events.  The only sanctioned exception, the sweep's "
+            "worker-management lines, pragma-tags every such line so "
+            "each impurity stays individually justified.",
         ),
         RuleMeta(
             "A302",

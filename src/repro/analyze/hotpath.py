@@ -38,11 +38,12 @@ program: anything booked on the loop runs on the loop.  Reachability
 closes over :meth:`Program.resolve_call` and widens dynamically
 dispatched methods to their subclass overrides.
 
-When a ``BENCH_profile.json`` (the :class:`repro.telemetry.SelfProfiler`
-report) is supplied, findings rank by the measured wall-time of the
-handlers that reach them — the triage order is then *measured*, not
-guessed.  Profile data never changes which findings fire or their
-fingerprints; it only orders the report.
+When perfbench ledgers (``perfbench/run.py --trace 1`` writes
+``.perfbench/ledger-<workload>-seed<n>.json``) are supplied, findings
+rank by the measured self time of the ledger entries that reach them —
+the triage order is then *measured*, not guessed.  Profile data never
+changes which findings fire or their fingerprints; it only orders the
+report.
 """
 
 from __future__ import annotations
@@ -583,22 +584,33 @@ def analyze_hotpath(program: Program) -> List[AnalysisFinding]:
     )
 
 
-def load_profile(path: str) -> Dict[str, float]:
-    """``BENCH_profile.json`` -> {handler qualname: cumulative seconds}."""
-    try:
-        with open(path, "r", encoding="utf-8") as fp:
-            doc = json.load(fp)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise AnalysisError(f"cannot read profile {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("kind") != "repro-profile":
-        raise AnalysisError(
-            f"{path} is not a repro-profile document (run repro-metrics profile)"
-        )
+def load_profile(*paths: str) -> Dict[str, float]:
+    """Perfbench ledgers -> {entry qualname: self seconds}.
+
+    Each entry's ``self_s`` is summed over every cell of every ledger,
+    with the ``event:`` prefix of event-callback entries stripped.  Self
+    times partition a cell's traced wall time; inclusive times would
+    count a nested entry once per enclosing entry.
+    """
     out: Dict[str, float] = {}
-    for handler in doc.get("handlers", []):
-        name = handler.get("name")
-        if isinstance(name, str):
-            out[name] = float(handler.get("cum_s", 0.0))
+    for path in paths:
+        try:
+            with open(path, "r", encoding="utf-8") as fp:
+                doc = json.load(fp)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise AnalysisError(f"cannot read profile {path}: {exc}") from exc
+        try:
+            for cell in doc["cells"].values():
+                for entry in cell["entries"]:
+                    name = entry["entry"]
+                    if name.startswith("event:"):
+                        name = name[len("event:"):]
+                    out[name] = out.get(name, 0.0) + float(entry["self_s"])
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise AnalysisError(
+                f"{path} is not a perfbench ledger "
+                f"(run perfbench/run.py --trace 1): {exc!r}"
+            ) from exc
     return out
 
 
@@ -606,7 +618,7 @@ def function_weights(
     program: Program, profile: Dict[str, float]
 ) -> Dict[str, float]:
     """Measured seconds attributed to each function: the sum of profiled
-    handler time over every handler whose closure reaches it."""
+    entry self time over every entry whose closure reaches it."""
     weights: Dict[str, float] = {}
     for qualname, seconds in profile.items():
         matches = [

@@ -16,13 +16,11 @@ One finding:
   which skip observer modules so each impure call gets exactly one
   finding.
 
-The self-profiler (:mod:`repro.telemetry.profiler`) is one sanctioned
-exception — it deliberately measures the simulator's own wall time and
-heap; the sweep executor's worker-management lines (pool timeouts, the
-latency selftest's sleep) are the other, since they steer worker
-processes without touching any recorded result.  Each such line carries
-an explicit ``# repro-analyze: disable=A301`` pragma, so every
-allowlisted impurity stays visible and individually justified.
+The sweep executor's worker-management lines (pool timeouts, the
+latency selftest's sleep) are the only sanctioned exception, since they
+steer worker processes without touching any recorded result.  Each such
+line carries an explicit ``# repro-analyze: disable=A301`` pragma, so
+every allowlisted impurity stays visible and individually justified.
 ``tracemalloc.is_tracing()`` is not flagged: it is a pure query used to
 guard start/stop, not a measurement.
 """
@@ -138,7 +136,8 @@ def analyze_purity(program: Program) -> List[AnalysisFinding]:
                     f"{kind} {dotted}() in observer package "
                     f"'repro/{package}/'; observers must be pure functions "
                     "of simulated time — every sanctioned exception (the "
-                    "self-profiler) must carry its own A301 pragma",
+                    "sweep's worker management) must carry its own A301 "
+                    "pragma",
                     symbol=f"{module.name}.{scope}:{dotted}",
                 )
             )

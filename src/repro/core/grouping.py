@@ -75,9 +75,11 @@ def group_types(entries: Sequence[TypeEntry], delta: float) -> List[TypeGroup]:
     """
     if delta < 1.0:
         raise ConfigurationError(f"delta must be >= 1.0, got {delta}")
-    # Grouping runs once per reservation update (seconds apart in sim
-    # time), never per event; the allocations below are not on the
-    # per-request path even though DARC's update cycle reaches here.
+    # Grouping runs once per Algorithm 2 evaluation: every
+    # compute_reservation call groups its entries.  On High Bimodal, 14
+    # workers, 50k arrivals, seed 1 that was 6,002 calls at rho 0.8 and
+    # 26,120 at rho 0.95 (perfbench/run.py --workload hb-trio --trace 1),
+    # so in an SLO-breach storm the allocations below run per completion.
     ordered = sorted(entries, key=lambda e: e[1])  # repro-analyze: disable=A401
     groups: List[TypeGroup] = []
     current: List[TypeEntry] = []

@@ -194,7 +194,7 @@ def compute_reservation(
     # rho 0.8 and 26,120 times at rho 0.95, and installed one reservation
     # in each run (perfbench/run.py --workload hb-trio --trace 1).  The
     # comprehensions and copies below therefore run per completion in
-    # that regime; ROADMAP item 2 tracks an exact early-out.
+    # that regime; ROADMAP item 1 tracks an exact early-out.
     groups = group_types(entries, delta)
     total_demand = sum(  # repro-analyze: disable=A401
         g.demand_contribution() for g in groups

@@ -112,7 +112,6 @@ def run_once(
     telemetry=None,
     metrics_path: Optional[str] = None,
     metrics_meta: Optional[Dict[str, Any]] = None,
-    profiler=None,
 ) -> RunResult:
     """Simulate one load point and summarize it.
 
@@ -134,10 +133,7 @@ def run_once(
     sanitizer (``"shadow"`` adds the tie-break shadow check, whose
     hazards land in ``result.sanitizer.tiebreak_hazards``), per-request
     span tracing and the virtual-time metrics plane.  Observed runs are
-    bit-identical to bare ones.  ``profiler`` attaches a
-    :class:`~repro.telemetry.profiler.SelfProfiler` that attributes the
-    simulator's own wall-clock cost per handler (caller starts/stops
-    it).
+    bit-identical to bare ones.
     """
     if utilization <= 0:
         raise ConfigurationError(f"utilization must be > 0, got {utilization}")
@@ -163,8 +159,6 @@ def run_once(
         metrics_path=metrics_path,
         metrics_meta=metrics_meta,
     )
-    if profiler is not None:
-        loop.attach_profiler(profiler)
 
     peak = spec.peak_load(config.n_workers)
     if trace is not None:

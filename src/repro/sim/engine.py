@@ -17,7 +17,7 @@ Design notes
 * The heap stores ``(time, seq, event)`` tuples rather than bare
   :class:`~repro.sim.events.Event` objects.  Tuple comparison runs in C;
   comparing events via ``Event.__lt__`` was the single hottest function
-  in the self-profile (one Python call per sift step per push/pop).  The
+  in a profile (one Python call per sift step per push/pop).  The
   ordering is identical — ``Event.__lt__`` uses the same ``(time, seq)``
   key — and :meth:`peek_event` still hands callers the event object.
 * The loop never moves time backwards; scheduling in the past raises
@@ -36,10 +36,11 @@ Design notes
   heap contents, and therefore the simulated outcome, are identical
   with or without them.  :mod:`repro.observe` builds and attaches them
   for every run entry point.
-* An optional :class:`~repro.telemetry.profiler.SelfProfiler`
-  (:meth:`EventLoop.attach_profiler`) wraps event execution to attribute
-  the simulator's own wall-clock cost per handler type.  It too leaves
-  the heap untouched.
+* An optional wall-clock profiler (:meth:`EventLoop.attach_profiler`)
+  wraps event execution; perfbench's per-layer ledger
+  (``perfbench/ledger.py``, ``--trace 1``) attaches through it to time
+  event callbacks that have no public entry point.  It too leaves the
+  heap untouched.
 """
 
 from __future__ import annotations
@@ -167,12 +168,11 @@ class EventLoop:
 
     @property
     def profiler(self):
-        """The attached :class:`~repro.telemetry.profiler.SelfProfiler`,
-        or None."""
+        """The attached wall-clock profiler (perfbench's ledger), or None."""
         return self._profiler
 
     def attach_profiler(self, profiler) -> None:
-        """Install a self-profiler that wraps event execution.
+        """Install a wall-clock profiler that wraps event execution.
 
         The profiler measures the *simulator's* wall-clock cost per
         handler type; it executes each event via

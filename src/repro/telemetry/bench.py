@@ -2,17 +2,20 @@
 
 CI produces a family of ``BENCH_*.json`` artifacts — pytest-benchmark
 documents (``BENCH_analyze.json``, ``BENCH_chaos.json``,
-``BENCH_timeseries.json``) and the self-profiler's
-``BENCH_profile.json``.  This module folds them into one flat
-``BENCH_summary.json`` (benchmark name → metric → value) so the perf
-trajectory is a single diffable file, and compares a summary against a
-checked-in ``bench-baseline.json``, failing on any metric that
-regresses beyond the baseline's tolerance (default 25%).
+``BENCH_timeseries.json``) and the final JSON line of each
+``perfbench/run.py --trace 0`` run (``BENCH_perf_<workload>.json``).
+This module folds them into one flat ``BENCH_summary.json`` (benchmark
+name → metric → value) so the perf trajectory is a single diffable
+file, and compares a summary against a checked-in
+``bench-baseline.json``, failing on any metric that regresses beyond
+the baseline's tolerance (default 25%).
 
-Comparison is direction-aware: wall-clock / memory metrics (suffixes
-``_s``, ``_us``, ``_bytes``, or containing ``time``) regress when they
-*grow*; throughput metrics (containing ``per_sec``) regress when they
-*shrink*.  Metrics with no recognisable direction are informational
+Comparison is direction-aware: rates (a name part ending in ``per_s``,
+``per_sec`` or ``per_us``) and speedups regress when they *shrink*;
+wall-clock / memory metrics (suffixes ``_s``, ``_us``, ``_bytes``,
+``_mb``, or containing ``time``) regress when they *grow*.  The rate
+test comes first, so ``mean_goodput_rps_per_us`` is a rate, not a
+duration.  Metrics with no recognisable direction are informational
 only — recorded, never gated.
 """
 
@@ -63,26 +66,26 @@ def summarize_file(path: str) -> Dict[str, Dict[str, float]]:
     * pytest-benchmark (``{"benchmarks": [{"name", "stats", ...}]}``) —
       stats become ``time_<stat>_s`` metrics, numeric ``extra_info``
       leaves ride along verbatim;
-    * the self-profiler (``{"kind": "repro-profile", ...}``) — one
-      benchmark named after the file, top-level throughput/heap metrics.
+    * a perfbench result line (``{"correct", "metrics": {name:
+      {"value", "unit"}}}``) — one benchmark named after the file, one
+      metric per perfbench metric.  A run whose digest gate failed
+      (``"correct"`` not true) is rejected rather than gated.
     """
     doc = _load_json(path)
     stem = os.path.splitext(os.path.basename(path))[0]
     out: Dict[str, Dict[str, float]] = {}
-    if isinstance(doc, dict) and doc.get("kind") == "repro-profile":
-        metrics: Dict[str, float] = {
-            "time_wall_s": float(doc.get("wall_s", 0.0)),
-            "events": float(doc.get("events", 0)),
-            "events_per_sec": float(doc.get("events_per_sec", 0.0)),
-            "peak_heap_bytes": float(doc.get("peak_heap_bytes", 0)),
-            "sim_time_us": float(doc.get("sim_time_us", 0.0)),
+    if isinstance(doc, dict) and isinstance(doc.get("metrics"), dict) and "correct" in doc:
+        if doc["correct"] is not True:
+            raise TelemetryError(f"perfbench run in {path} is not correct")
+        out[stem] = {
+            name: float(entry["value"])
+            for name, entry in sorted(doc["metrics"].items())
         }
-        out[stem] = metrics
         return out
     if isinstance(doc, dict) and isinstance(doc.get("benchmarks"), list):
         for bench in doc["benchmarks"]:
             name = bench.get("name", stem)
-            metrics = {}
+            metrics: Dict[str, float] = {}
             stats = bench.get("stats", {})
             for stat in _PYTEST_STATS:
                 if stat in stats and isinstance(stats[stat], (int, float)):
@@ -116,11 +119,17 @@ def discover(root: str = ".") -> List[str]:
     return [p for p in found if os.path.basename(p) != "BENCH_summary.json"]
 
 
+#: Name-part suffixes that mark a rate (higher is better).
+_RATE_SUFFIXES = ("per_s", "per_sec", "per_us")
+
+
 def metric_direction(metric: str) -> int:
     """-1 = lower is better, +1 = higher is better, 0 = ungated."""
-    if "per_sec" in metric or "speedup" in metric:
+    if "speedup" in metric or any(
+        part.endswith(_RATE_SUFFIXES) for part in metric.split(".")
+    ):
         return 1
-    if metric.endswith(("_s", "_us", "_bytes")) or "time" in metric:
+    if metric.endswith(("_s", "_us", "_bytes", "_mb")) or "time" in metric:
         return -1
     return 0
 

@@ -218,26 +218,42 @@ class TestHotpathCommand:
 
     def test_profile_ranks_output(self, tree, tmp_path, capsys):
         root = tree(HOT_TREE)
-        profile = tmp_path / "BENCH_profile.json"
-        profile.write_text(
-            json.dumps(
-                {
-                    "kind": "repro-profile",
-                    "handlers": [{"name": "Core.on_request", "cum_s": 1.5}],
-                }
+        ledgers = []
+        for workload, self_s in (("one", 1.0), ("two", 0.5)):
+            path = tmp_path / f"ledger-{workload}-seed1.json"
+            path.write_text(
+                json.dumps(
+                    {
+                        "workload": workload,
+                        "seed": 1,
+                        "cells": {
+                            "cell": {
+                                "entries": [
+                                    {
+                                        "entry": "Core.on_request",
+                                        "calls": 3,
+                                        "self_s": self_s,
+                                        "inclusive_s": 9.0,
+                                    }
+                                ]
+                            }
+                        },
+                    }
+                )
             )
-        )
-        assert main(["hotpath", root, "--root", root, "--profile", str(profile)]) == 0
+            ledgers += ["--profile", str(path)]
+        assert main(["hotpath", root, "--root", root, *ledgers]) == 0
         out = capsys.readouterr().out
+        # Self times of both ledgers add up; inclusive times are unused.
         assert "1500.000ms" in out
-        assert "ranked by measured handler cost" in out
+        assert "ranked by measured ledger self time" in out
 
     def test_invalid_profile_is_usage_error(self, tree, tmp_path, capsys):
         root = tree(HOT_TREE)
         bad = tmp_path / "bad.json"
         bad.write_text('{"benchmarks": []}')
         assert main(["hotpath", root, "--root", root, "--profile", str(bad)]) == 2
-        assert "not a repro-profile" in capsys.readouterr().err
+        assert "not a perfbench ledger" in capsys.readouterr().err
 
     def test_sarif_side_output(self, tree, tmp_path):
         root = tree(HOT_TREE)

@@ -3,6 +3,7 @@ reachability, each rule on seeded fixture violations, pragma and
 baseline interplay, and profile-weighted ranking."""
 
 import json
+import os
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.analyze.hotpath import (
     load_profile,
     rank_findings,
 )
+from repro.analyze.model import build_program, iter_python_files
 from repro.errors import AnalysisError
 
 HOT_SELECT = ["A401", "A402", "A403", "A404", "A405", "A406"]
@@ -269,24 +271,44 @@ class TestPragmas:
 # profile weighting
 # ----------------------------------------------------------------------
 class TestProfileWeighting:
-    def _profile(self, tmp_path, handlers):
-        path = tmp_path / "BENCH_profile.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "kind": "repro-profile",
-                    "version": 1,
-                    "handlers": handlers,
+    def _profile(self, tmp_path, cells):
+        """Write a perfbench ledger: {cell label: [(entry, self_s)]}."""
+        doc = {
+            "workload": "fixture",
+            "seed": 1,
+            "cells": {
+                label: {
+                    "entries": [
+                        {
+                            "entry": name,
+                            "calls": 1,
+                            "self_s": self_s,
+                            "inclusive_s": 10.0 * self_s,
+                        }
+                        for name, self_s in entries
+                    ]
                 }
-            )
-        )
+                for label, entries in cells.items()
+            },
+        }
+        path = tmp_path / "ledger.json"
+        path.write_text(json.dumps(doc))
         return str(path)
 
     def test_load_profile_roundtrip(self, tmp_path):
         path = self._profile(
-            tmp_path, [{"name": "Scheduler.on_request", "cum_s": 2.5}]
+            tmp_path,
+            {
+                "a@0.8": [("Scheduler.on_request", 1.5), ("event:Gen._emit", 0.25)],
+                "a@0.95": [("Scheduler.on_request", 1.0)],
+            },
         )
-        assert load_profile(path) == {"Scheduler.on_request": 2.5}
+        # Self times add up over cells; inclusive times are ignored and
+        # event callbacks key by their bare qualname.
+        assert load_profile(path) == {
+            "Scheduler.on_request": 2.5,
+            "Gen._emit": 0.25,
+        }
 
     def test_load_profile_rejects_other_documents(self, tmp_path):
         path = tmp_path / "other.json"
@@ -324,3 +346,66 @@ class TestProfileWeighting:
         assert {f.fingerprint for _, f in ranked} == {
             f.fingerprint for f in findings
         }
+
+
+# ----------------------------------------------------------------------
+# the committed perfbench ledgers
+# ----------------------------------------------------------------------
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+LEDGER_DIR = os.path.join(REPO_ROOT, "ledgers")
+
+
+class TestCommittedLedgers:
+    """``ledgers/`` holds unmodified ``perfbench/run.py --trace 1``
+    output at seed 1; the names in it must still name program code."""
+
+    def _doc(self, workload):
+        with open(os.path.join(LEDGER_DIR, f"ledger-{workload}-seed1.json")) as fp:
+            return json.load(fp)
+
+    @pytest.mark.parametrize(
+        "workload,cells",
+        [
+            (
+                "hb-trio",
+                {
+                    f"{system}@{rho}"
+                    for system in ("persephone", "shenango", "shinjuku")
+                    for rho in ("0.8", "0.95")
+                },
+            ),
+            (
+                "rack16-jsq",
+                {
+                    f"{system}@0.7[rack]"
+                    for system in ("persephone", "shenango", "shinjuku")
+                },
+            ),
+        ],
+    )
+    def test_ledger_covers_every_cell(self, workload, cells):
+        doc = self._doc(workload)
+        assert doc["workload"] == workload and doc["seed"] == 1
+        assert set(doc["cells"]) == cells
+
+    def test_every_entry_names_one_function(self):
+        program = build_program(
+            iter_python_files([os.path.join(REPO_ROOT, "src", "repro")]),
+            root=os.path.join(REPO_ROOT, "src"),
+        )
+        by_qualname = {}
+        for fn in program.functions.values():
+            by_qualname.setdefault(fn.qualname, []).append(fn.key)
+        profile = load_profile(
+            *(
+                os.path.join(LEDGER_DIR, f"ledger-{w}-seed1.json")
+                for w in ("hb-trio", "rack16-jsq")
+            )
+        )
+        assert profile
+        unresolved = {
+            name: by_qualname.get(name, [])
+            for name in profile
+            if len(by_qualname.get(name, [])) != 1
+        }
+        assert unresolved == {}

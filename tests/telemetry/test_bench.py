@@ -34,16 +34,18 @@ def _pytest_doc(name="test_thing", mean=0.5, extra=None):
     }
 
 
-def _profile_doc(wall=2.0, events=1000):
+def _perf_doc(rate=500.0, correct=True):
+    """The final JSON line of a ``perfbench/run.py --trace 0`` run."""
     return {
-        "kind": "repro-profile",
-        "version": 1,
-        "wall_s": wall,
-        "events": events,
-        "events_per_sec": events / wall,
-        "peak_heap_bytes": 1 << 20,
-        "sim_time_us": 5000.0,
-        "handlers": [],
+        "correct": correct,
+        "attempted": 12,
+        "failed": 0 if correct else 1,
+        "metrics": {
+            "setup_s": {"value": 0.4, "unit": "s"},
+            "req_per_s.persephone": {"value": rate, "unit": "1/s"},
+            "wall_s": {"value": 2.0, "unit": "s"},
+            "peak_rss_mb": {"value": 90.0, "unit": "MB"},
+        },
     }
 
 
@@ -59,11 +61,34 @@ class TestSummarize:
         assert metrics["nested.n"] == 3.0
         assert "rounds" not in metrics  # only the whitelisted stats
 
-    def test_profile_document(self, tmp_path):
-        path = tmp_path / "BENCH_profile.json"
-        path.write_text(json.dumps(_profile_doc()))
+    def test_perfbench_document(self, tmp_path):
+        path = tmp_path / "BENCH_perf_hb-trio.json"
+        path.write_text(json.dumps(_perf_doc()))
         out = summarize_file(str(path))
-        assert out["BENCH_profile"]["events_per_sec"] == 500.0
+        assert out == {
+            "BENCH_perf_hb-trio": {
+                "peak_rss_mb": 90.0,
+                "req_per_s.persephone": 500.0,
+                "setup_s": 0.4,
+                "wall_s": 2.0,
+            }
+        }
+
+    def test_profile_document(self, tmp_path):
+        # A perfbench ledger is a per-entry profile, not a benchmark
+        # document: even under a BENCH_ name it is rejected, not gated.
+        with open(os.path.join(REPO_ROOT, "ledgers", "ledger-hb-trio-seed1.json")) as fp:
+            ledger = fp.read()
+        path = tmp_path / "BENCH_profile.json"
+        path.write_text(ledger)
+        with pytest.raises(TelemetryError):
+            summarize_file(str(path))
+
+    def test_incorrect_perfbench_run_rejected(self, tmp_path):
+        path = tmp_path / "BENCH_perf_hb-trio.json"
+        path.write_text(json.dumps(_perf_doc(correct=False)))
+        with pytest.raises(TelemetryError):
+            summarize_file(str(path))
 
     def test_unrecognised_document_rejected(self, tmp_path):
         path = tmp_path / "BENCH_junk.json"
@@ -77,7 +102,7 @@ class TestAggregate:
         a = tmp_path / "BENCH_a.json"
         b = tmp_path / "BENCH_b.json"
         a.write_text(json.dumps(_pytest_doc("one")))
-        b.write_text(json.dumps(_profile_doc()))
+        b.write_text(json.dumps(_perf_doc()))
         summary = aggregate([str(b), str(a)])
         assert summary["kind"] == SUMMARY_KIND
         assert summary["sources"] == ["BENCH_a.json", "BENCH_b.json"]
@@ -108,6 +133,10 @@ class TestDirections:
             ("samples_per_sec", 1),
             ("pool_speedup", 1),
             ("speedup_vs_serial", 1),
+            ("Persephone.mean_goodput_rps_per_us", 1),
+            ("req_per_s.persephone", 1),
+            ("wall_s", -1),
+            ("peak_rss_mb", -1),
             ("windows", 0),
             ("events", 0),
         ],

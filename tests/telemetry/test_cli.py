@@ -76,18 +76,6 @@ class TestDashboard:
         assert "<script" not in html
 
 
-class TestProfile:
-    def test_writes_bench_artifact(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_profile.json"
-        assert main(
-            ["profile", "--out", str(out), "--n-requests", "500", "--top", "3"]
-        ) == 0
-        report = json.loads(out.read_text())
-        assert report["kind"] == "repro-profile"
-        assert report["events"] > 0
-        assert "events/s" in capsys.readouterr().out
-
-
 class TestCompare:
     def test_identical_runs_have_no_drift(self, smoke_run, capsys):
         _, paths = smoke_run
@@ -114,21 +102,20 @@ class TestCompare:
 
 
 class TestBench:
-    def _profile_artifact(self, tmp_path):
+    def _perf_artifact(self, tmp_path):
         doc = {
-            "kind": "repro-profile",
-            "version": 1,
-            "wall_s": 2.0,
-            "events": 1000,
-            "events_per_sec": 500.0,
-            "peak_heap_bytes": 0,
-            "sim_time_us": 5000.0,
-            "handlers": [],
+            "correct": True,
+            "attempted": 6,
+            "failed": 0,
+            "metrics": {
+                "req_per_s.persephone": {"value": 500.0, "unit": "1/s"},
+                "wall_s": {"value": 2.0, "unit": "s"},
+            },
         }
-        (tmp_path / "BENCH_profile.json").write_text(json.dumps(doc))
+        (tmp_path / "BENCH_perf_hb-trio.json").write_text(json.dumps(doc))
 
     def test_aggregate_write_baseline_then_gate(self, tmp_path, capsys):
-        self._profile_artifact(tmp_path)
+        self._perf_artifact(tmp_path)
         summary = tmp_path / "BENCH_summary.json"
         baseline = tmp_path / "bench-baseline.json"
         assert main(
@@ -143,12 +130,14 @@ class TestBench:
         assert "OK: no benchmark regressions" in capsys.readouterr().out
 
     def test_regression_fails_the_gate(self, tmp_path, capsys):
-        self._profile_artifact(tmp_path)
+        self._perf_artifact(tmp_path)
         baseline = tmp_path / "bench-baseline.json"
         baseline.write_text(json.dumps({
             "kind": "repro-bench-baseline",
             "tolerance": 0.25,
-            "benchmarks": {"BENCH_profile": {"events_per_sec": 5000.0}},
+            "benchmarks": {
+                "BENCH_perf_hb-trio": {"req_per_s.persephone": 5000.0}
+            },
         }))
         summary = tmp_path / "BENCH_summary.json"
         assert main(

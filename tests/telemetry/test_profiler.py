@@ -1,117 +1,130 @@
-"""The self-profiler: per-handler wall-time attribution, report shape,
-and the BENCH_profile.json artifact."""
+"""Profiling a whole run through ``EventLoop.attach_profiler``, the
+wall-clock hook perfbench's ledger (``perfbench/ledger.py``) attaches
+through: per-handler attribution, unchanged results, and the ledger
+document that ``repro-analyze hotpath --profile`` reads.  The hook's own
+attach/detach rules are in ``tests/sim/test_profiler_hook.py``."""
 
+import importlib.util
 import json
+import os
+import time
 
 import pytest
 
+from repro.analyze.hotpath import load_profile
 from repro.errors import TelemetryError
 from repro.experiments.common import run_once
+from repro.lint.determinism import digest_outcome
+from repro.sim.engine import EventLoop
 from repro.systems.persephone import PersephoneSystem
-from repro.telemetry import SelfProfiler
-from repro.telemetry.profiler import PROFILE_KIND
+from repro.telemetry.bench import summarize_file
 from repro.workload.presets import high_bimodal
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+
+class HandlerProfiler:
+    """Run each event and count it under its callback's qualname."""
+
+    def __init__(self):
+        self.calls = {}
+
+    def run_event(self, event):
+        name = getattr(event.fn, "__qualname__", repr(event.fn))
+        self.calls[name] = self.calls.get(name, 0) + 1
+        event.fn(*event.args)
+
+
+def _run(n_requests=1200, seed=2):
+    return run_once(
+        PersephoneSystem(n_workers=8, oracle=True),
+        high_bimodal(),
+        0.7,
+        n_requests=n_requests,
+        seed=seed,
+    )
+
+
+def _attached_on_run(profiler):
+    """Attach ``profiler`` to every loop when it starts running, as
+    perfbench's ledger does; returns the undo."""
+    run = EventLoop.run
+
+    def run_profiled(loop, *args, **kwargs):
+        if loop.profiler is None:
+            loop.attach_profiler(profiler)
+        return run(loop, *args, **kwargs)
+
+    EventLoop.run = run_profiled
+    return lambda: setattr(EventLoop, "run", run)
 
 
 @pytest.fixture(scope="module")
 def profiled():
-    profiler = SelfProfiler()
-    profiler.start()
-    result = run_once(
-        PersephoneSystem(n_workers=8, oracle=True),
-        high_bimodal(),
-        0.7,
-        n_requests=1200,
-        seed=2,
-        profiler=profiler,
-    )
-    report = profiler.stop(result.server.loop)
-    return profiler, result, report
+    profiler = HandlerProfiler()
+    undo = _attached_on_run(profiler)
+    try:
+        result = _run()
+    finally:
+        undo()
+    return profiler, result
 
 
 class TestAttribution:
     def test_every_event_is_counted(self, profiled):
-        _, result, report = profiled
-        assert report["events"] == result.server.loop.events_processed
-        assert sum(h["calls"] for h in report["handlers"]) == report["events"]
-
-    def test_handlers_sorted_by_cumulative_time(self, profiled):
-        _, _, report = profiled
-        cums = [h["cum_s"] for h in report["handlers"]]
-        assert cums == sorted(cums, reverse=True)
-        names = {h["name"] for h in report["handlers"]}
-        assert any("OpenLoopGenerator" in n for n in names)
+        profiler, result = profiled
+        loop = result.server.loop
+        assert loop.profiler is profiler
+        assert sum(profiler.calls.values()) == loop.events_processed > 0
+        assert any("OpenLoopGenerator" in name for name in profiler.calls)
 
     def test_profiled_run_results_unaffected(self, profiled):
-        # The profiler wraps execution from outside; virtual-time results
+        # The profiler executes every event itself; virtual-time results
         # must match an unprofiled same-seed run exactly.
-        _, result, _ = profiled
-        plain = run_once(
-            PersephoneSystem(n_workers=8, oracle=True),
-            high_bimodal(),
-            0.7,
-            n_requests=1200,
-            seed=2,
-        )
-        assert plain.summary.overall_tail_latency == (
-            result.summary.overall_tail_latency
-        )
+        _, result = profiled
+        plain = _run()
+        assert plain.server.loop.profiler is None
+        assert plain.summary.overall_tail_latency == result.summary.overall_tail_latency
         assert plain.server.loop.now == result.server.loop.now
+        assert digest_outcome(plain.server.recorder, plain.server.loop) == digest_outcome(
+            result.server.recorder, result.server.loop
+        )
 
 
-class TestLifecycle:
-    def test_double_start_rejected(self):
-        profiler = SelfProfiler()
-        profiler.start()
-        with pytest.raises(TelemetryError):
-            profiler.start()
-
-    def test_stop_before_start_rejected(self):
-        with pytest.raises(TelemetryError):
-            SelfProfiler().stop()
+def _load_perfbench_ledger():
+    path = os.path.join(REPO_ROOT, "perfbench", "ledger.py")
+    spec = importlib.util.spec_from_file_location("perfbench_ledger", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestReport:
-    def test_report_schema(self, profiled):
-        _, _, report = profiled
-        assert report["kind"] == PROFILE_KIND
-        assert report["version"] == 1
-        assert report["wall_s"] > 0
-        assert report["events_per_sec"] > 0
-        assert report["sim_time_us"] > 0
-        for h in report["handlers"]:
-            assert set(h) == {"name", "calls", "cum_s", "mean_us", "alloc_bytes"}
+    def test_write_is_valid_json_and_bench_compatible(self, tmp_path):
+        bare_run = EventLoop.run
+        ledger = _load_perfbench_ledger().Ledger()
+        ledger.install()
+        try:
+            start = time.perf_counter()
+            result = _run(n_requests=400, seed=4)
+            book = ledger.end_cell(time.perf_counter() - start)
+        finally:
+            ledger.uninstall()
+        assert EventLoop.run is bare_run  # every wrapper is removed again
+        assert book.reconciles()
+        assert book.entry_calls("Server.ingress") == result.server.received > 0
 
-    def test_write_is_valid_json_and_bench_compatible(self, profiled, tmp_path):
-        from repro.telemetry.bench import summarize_file
-
-        profiler, _, report = profiled
-        path = tmp_path / "BENCH_profile.json"
-        profiler.write(str(path), report)
-        assert json.loads(path.read_text())["kind"] == PROFILE_KIND
-        summary = summarize_file(str(path))
-        metrics = summary["BENCH_profile"]
-        assert metrics["events"] == report["events"]
-        assert metrics["time_wall_s"] == report["wall_s"]
-
-
-class TestHeapTracking:
-    def test_alloc_bytes_attributed_per_handler(self):
-        profiler = SelfProfiler(track_heap=True)
-        profiler.start()
-        result = run_once(
-            PersephoneSystem(n_workers=4, oracle=True),
-            high_bimodal(),
-            0.6,
-            n_requests=400,
-            seed=4,
-            profiler=profiler,
-        )
-        report = profiler.stop(result.server.loop)
-        assert report["peak_heap_bytes"] > 0
-        # Request construction alone allocates; some handler must show it.
-        assert any(h["alloc_bytes"] > 0 for h in report["handlers"])
-
-    def test_alloc_bytes_zero_without_heap_tracking(self, profiled):
-        _, _, report = profiled
-        assert all(h["alloc_bytes"] == 0 for h in report["handlers"])
+        # The document shape ``perfbench/run.py --trace 1`` writes.
+        path = tmp_path / "ledger-test-seed4.json"
+        path.write_text(json.dumps(
+            {"workload": "test", "seed": 4, "requests_per_cell": 400,
+             "cells": {"persephone@0.7": book.to_json()}}
+        ))
+        doc = json.loads(path.read_text())
+        entries = doc["cells"]["persephone@0.7"]["entries"]
+        profile = load_profile(str(path))
+        assert set(profile) == {e["entry"].replace("event:", "", 1) for e in entries}
+        assert sum(profile.values()) == pytest.approx(sum(e["self_s"] for e in entries))
+        # A ledger is read by the hot-path ranking, never gated as a benchmark.
+        with pytest.raises(TelemetryError):
+            summarize_file(str(path))
