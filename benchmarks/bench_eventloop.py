@@ -12,7 +12,7 @@ benchmarks bury engine cost under policy logic).  Two shapes:
   retry timeouts rely on.
 
 Event throughput lands in extra_info so CI can archive it
-(``--benchmark-json=BENCH_eventloop.json``) and ``repro-metrics bench``
+(``--benchmark-json=BENCH_eventloop.json``) and ``repro-observe bench``
 gates ``events_per_sec`` against ``bench-baseline.json``.
 """
 

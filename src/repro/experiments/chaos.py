@@ -38,6 +38,7 @@ from .common import (
     collect_forensics,
     metrics_target,
     replicate_seed,
+    single_load,
     trace_target,
 )
 
@@ -144,17 +145,18 @@ class ChaosExperimentResult:
         return "\n\n".join(parts)
 
 
-def episode_plan(n_requests: int, spec=None):
-    """The crash/recover episode geometry for an ``n_requests``-long run.
+def episode_plan(n_requests: int, spec=None, rho: float = UTILIZATION):
+    """The crash/recover episode geometry for an ``n_requests``-long run
+    at load ``rho``.
 
     Pins the episode to the expected run length so the same story plays
-    out at any ``--n-requests`` scale.  Returns ``(plan, crash_at,
+    out at any ``--n-requests`` scale and load.  Returns ``(plan, crash_at,
     recover_at, window_us)``; shared by :func:`run` and the sweep runner
     so pooled chaos cells replay exactly the serial episode.
     """
     if spec is None:
         spec = high_bimodal()
-    rate = UTILIZATION * spec.peak_load(N_WORKERS)
+    rate = rho * spec.peak_load(N_WORKERS)
     expected_us = n_requests / rate
     crash_at = 0.25 * expected_us
     recover_at = 0.50 * expected_us
@@ -187,11 +189,13 @@ def run(
     metrics_dir: Optional[str] = None,
     seeds: Optional[Sequence[int]] = None,
     forensics_dir: Optional[str] = None,
+    utilizations: Optional[Sequence[float]] = None,
 ) -> ChaosExperimentResult:
-    """Run the crash/recover episode for every system.
+    """Run the crash/recover episode for every system, at the declared
+    load or the single value of ``utilizations``.
 
     ``seeds`` replays each system's episode once per seed (derived
-    per-cell seeds matching the pooled ``repro-sweep`` chaos cells);
+    per-cell seeds matching the checkpointed chaos cells);
     tables/series come from the first replicate while the headline
     findings (TTR, violation time, failures) become replicate means with
     ``±half-width`` companions.
@@ -200,8 +204,9 @@ def run(
         systems = default_systems()
     if retry is None:
         retry = default_retry()
+    rho = single_load(EXPERIMENT, utilizations)
     spec = EXPERIMENT.spec_for(WORKLOAD)
-    plan, crash_at, recover_at, window_us = episode_plan(n_requests, spec)
+    plan, crash_at, recover_at, window_us = episode_plan(n_requests, spec, rho)
     replicates: Sequence[int] = seeds or (seed,)
 
     result = ChaosExperimentResult(crash_at, recover_at, window_us)
@@ -215,12 +220,12 @@ def run(
             res = run_chaos(
                 system,
                 spec,
-                UTILIZATION,
+                rho,
                 plan,
                 n_requests=n_requests,
                 seed=replicate_seed(
                     EXPERIMENT, replicate, seeds, system=system.name,
-                    workload=WORKLOAD, rho=UTILIZATION,
+                    workload=WORKLOAD, rho=rho,
                     n_requests=n_requests,
                 ),
                 retry=retry,

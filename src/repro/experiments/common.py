@@ -23,7 +23,7 @@ import re
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .. import observe
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, UsageError
 from ..metrics.recorder import Recorder
 from ..metrics.summary import RunSummary
 from ..metrics.utilization import UtilizationReport
@@ -263,9 +263,24 @@ def replicate_seed(
     ``seeds``) the raw seed runs as is; with ``seeds`` each replicate
     runs under its cell's derived seed
     (:meth:`~repro.sweep.planner.ExperimentSpec.cell`) — the seed a
-    pooled ``repro-sweep`` run of the same point gets.
+    checkpointed run of the same point gets.
     """
     return experiment.cell(replicate, **point).seed if seeds else replicate
+
+
+def single_load(
+    experiment: ExperimentSpec, utilizations: Optional[Sequence[float]]
+) -> float:
+    """The one load point a single-point driver runs: its declared one,
+    or the only value of ``utilizations`` (as its planned cells do)."""
+    if utilizations is None:
+        return experiment.utilizations[0]
+    if len(utilizations) != 1:
+        raise UsageError(
+            f"{experiment.name} runs one load point; --utilizations got "
+            f"{len(utilizations)}"
+        )
+    return float(utilizations[0])
 
 
 def _sweep(

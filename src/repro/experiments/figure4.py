@@ -27,6 +27,7 @@ from .common import (
     metrics_target,
     replicate_seed,
     run_once,
+    single_load,
     trace_target,
 )
 
@@ -141,7 +142,12 @@ def run(
     metrics_dir: Optional[str] = None,
     seeds: Optional[Sequence[int]] = None,
     forensics_dir: Optional[str] = None,
+    utilizations: Optional[Sequence[float]] = None,
 ) -> Figure4Result:
+    """Sweep the reserved-core count at one load point: ``utilization``,
+    or the single value of ``utilizations`` when given."""
+    if utilizations is not None:
+        utilization = single_load(EXPERIMENT, utilizations)
     if workloads is None:
         workloads = {w: EXPERIMENT.spec_for(w) for w in EXPERIMENT.workloads}
     replicates: Sequence[int] = seeds or (seed,)

@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..analysis.tables import render_series
+from ..errors import UsageError
 from ..sweep.stats import mean_ci
 from ..metrics.summary import RunSummary
 from ..metrics.timeseries import AllocationTimeline, WindowedStats
@@ -161,13 +162,20 @@ def run(
     metrics_dir: Optional[str] = None,
     seeds: Optional[Sequence[int]] = None,
     forensics_dir: Optional[str] = None,
+    utilizations: Optional[Sequence[float]] = None,
 ) -> Figure7Result:
     """Run the phased experiment; ``seeds`` replicates each system run.
 
     The time series come from the first replicate (derived seeds match
-    the pooled ``repro-sweep`` figure7 cells); scalar stats across all
+    the checkpointed figure7 cells); scalar stats across all
     replicates land in ``tail_latency_samples``/``update_samples``.
+    The phases fix the load, so ``utilizations`` is refused.
     """
+    if utilizations is not None:
+        raise UsageError(
+            "figure7 cannot honor --utilizations: it declares no load "
+            "grid (its phases fix the load)"
+        )
     if phases is None:
         phases = default_phases()
     if systems is None:

@@ -132,17 +132,20 @@ def run(
     seeds: Optional[Sequence[int]] = None,
     n_servers: int = N_SERVERS,
     balancers: Sequence[str] = DEFAULT_BALANCERS,
-    utilizations: Sequence[float] = DEFAULT_UTILIZATIONS,
+    utilizations: Optional[Sequence[float]] = None,
     staleness_us: float = STALENESS_US,
     forensics_dir: Optional[str] = None,
 ) -> Dict[str, FigureResult]:
-    """The full grid: one :class:`FigureResult` per balancer.
+    """The full grid: one :class:`FigureResult` per balancer, over
+    ``utilizations`` (default: the declared load points).
 
     With ``seeds`` every grid point replicates under derived per-cell
-    seeds matching the ``repro-sweep`` rack cells (CI tables); without,
+    seeds matching the checkpointed rack cells (CI tables); without,
     one raw-seed run per point.  ``n_requests`` is the *total* arrival
     count per point (the rack splits it among replicas).
     """
+    if utilizations is None:
+        utilizations = DEFAULT_UTILIZATIONS
     results: Dict[str, FigureResult] = {}
     for balancer in balancers:
         result = FigureResult(f"Rack [{balancer}]", utilizations)

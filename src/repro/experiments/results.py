@@ -115,6 +115,9 @@ class FigureResult:
     def render_metric(
         self, metric: MetricFn, label: str, precision: int = 1
     ) -> str:
+        """``metric`` per system and load; loads carry two decimals, as
+        in :meth:`repro.sweep.merge.MergedSweep.render`, whatever the
+        metric's ``precision``."""
         if self.replicates and self.n_replicates > 1:
             series = {
                 name: [stat.format(precision) for stat in stats]
@@ -128,7 +131,7 @@ class FigureResult:
             series = self.series(metric)
         return render_series(
             "load",
-            self.utilizations,
+            [f"{rho:.2f}" for rho in self.utilizations],
             series,
             precision=precision,
             title=f"{self.name}: {label}",

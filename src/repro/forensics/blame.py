@@ -466,7 +466,7 @@ def analyze_blame(
 
 
 def render_blame(report: BlameReport, type_names: Optional[Dict[int, str]] = None) -> str:
-    """Human-readable blame matrices (the ``repro-forensics blame`` text)."""
+    """Human-readable blame matrices (the ``repro-observe blame`` text)."""
     names = type_names or {}
 
     def label(key: Any) -> str:

@@ -204,7 +204,7 @@ def detect_herding(
 
 
 def render_herding(report: HerdingReport, balancer: Optional[str] = None) -> str:
-    """Human-readable herding verdict (``repro-forensics herding``)."""
+    """Human-readable herding verdict (``repro-observe herding``)."""
     label = f" [{balancer}]" if balancer else ""
     verdict = "HERDING" if report.flagged else "no herding"
     lines = [

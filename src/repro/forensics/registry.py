@@ -4,7 +4,7 @@ Every forensics collection persists one **run record** — trace meta, a
 span-derived summary, the blame/herding digests — as a JSON file under
 ``<store>/runs/`` (written with the sweep module's atomic writer, so a
 crashed collection never leaves a torn record) plus a rebuildable
-``index.json``.  ``repro-forensics diff`` then compares two run groups:
+``index.json``.  ``repro-observe diff`` then compares two run groups:
 pointwise metric deltas with the sweep module's Student-t confidence
 intervals once a group has replicates, so "did this branch regress the
 p99.9?" is answerable from two store selectors before burning any new
@@ -222,7 +222,7 @@ def diff_groups(
 
 
 def render_diff(diff: Dict[str, Any], only_significant: bool = False) -> str:
-    """Human-readable diff table (``repro-forensics diff``)."""
+    """Human-readable diff table (``repro-observe diff``)."""
     lines = [
         f"Forensics diff: {diff['n_a']} run(s) vs {diff['n_b']} run(s) "
         f"at {diff['confidence'] * 100:g}% confidence"

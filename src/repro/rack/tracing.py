@@ -20,7 +20,7 @@ rack run is bit-identical to an untraced one.
 
 :meth:`RackTracer.merged` folds the replica tracers into one ordinary
 :class:`Tracer` with globally unique worker ids (``replica * n_workers
-+ local id``) so the standard exporter, ``repro-trace`` and the
++ local id``) so the standard exporter, ``repro-observe`` and the
 forensics blame analyzer consume rack traces unchanged; the export meta
 carries the ``rack`` geometry needed to map a global worker id back to
 its replica.
@@ -185,7 +185,7 @@ def write_rack_trace(
     """Export one rack run's merged trace (standard trace document).
 
     The document is byte-compatible with single-server traces
-    (``NATIVE_VERSION`` 1): ``repro-trace`` and the forensics analyzers
+    (``NATIVE_VERSION`` 1): ``repro-observe`` and the forensics analyzers
     read it unchanged, and ``meta["rack"]`` lets consumers decode a
     global worker id back to ``(replica, local worker)``.
     """

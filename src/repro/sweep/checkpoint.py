@@ -6,7 +6,6 @@ Layout of a checkpoint directory::
     <dir>/manifest.json      completed/failed cell ledger (repro-sweep-manifest)
     <dir>/cells/<id>.json    one CellResult document per completed cell
     <dir>/merged.json        aggregated output (written by merge)
-    <dir>/artifacts/         optional per-cell trace/metrics exports
 
 Every write is atomic (temp file + ``os.replace``), and the manifest is
 rewritten after *each* cell completes, so a sweep killed at any instant
@@ -60,7 +59,6 @@ class CheckpointStore:
         self.manifest_path = os.path.join(root, "manifest.json")
         self.cells_dir = os.path.join(root, "cells")
         self.merged_path = os.path.join(root, "merged.json")
-        self.artifact_dir = os.path.join(root, "artifacts")
 
     # -- plan ----------------------------------------------------------
     def exists(self) -> bool:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.connection
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from ..errors import ConfigurationError
 from .cells import Cell, CellResult
@@ -58,14 +58,14 @@ class CellOutcome(NamedTuple):
 ProgressFn = Callable[[int, int, CellOutcome], None]
 
 
-def _worker_main(conn, cell_doc, artifact_dir, observe) -> None:
+def _worker_main(conn, cell_doc, trace_dir, metrics_dir) -> None:
     """Pool worker entry point: run one cell, ship the outcome back.
 
     Top-level (not a closure) so it is picklable under the spawn start
     method; everything it receives is a plain document.
     """
     try:
-        result_doc = run_cell_doc(cell_doc, artifact_dir, tuple(observe))
+        result_doc = run_cell_doc(cell_doc, trace_dir, metrics_dir)
         conn.send(("ok", result_doc))
     except BaseException as exc:  # noqa: BLE001 - isolation boundary
         try:
@@ -118,14 +118,14 @@ def _kill(worker: _LiveWorker) -> CellOutcome:
 
 def _execute_serial(
     cells: Sequence[Cell],
-    artifact_dir: Optional[str],
-    observe: Tuple[str, ...],
+    trace_dir: Optional[str],
+    metrics_dir: Optional[str],
     progress: Optional[ProgressFn],
 ) -> List[CellOutcome]:
     outcomes: List[CellOutcome] = []
     for cell in cells:
         try:
-            outcome = CellOutcome(cell, run_cell(cell, artifact_dir, observe), "ok")
+            outcome = CellOutcome(cell, run_cell(cell, trace_dir, metrics_dir), "ok")
         except Exception as exc:  # noqa: BLE001 - isolation boundary
             outcome = CellOutcome(cell, None, "error", f"{type(exc).__name__}: {exc}")
         outcomes.append(outcome)
@@ -138,8 +138,8 @@ def _execute_pool(
     cells: Sequence[Cell],
     jobs: int,
     timeout_s: Optional[float],
-    artifact_dir: Optional[str],
-    observe: Tuple[str, ...],
+    trace_dir: Optional[str],
+    metrics_dir: Optional[str],
     progress: Optional[ProgressFn],
 ) -> List[CellOutcome]:
     import time
@@ -153,7 +153,7 @@ def _execute_pool(
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         process = ctx.Process(
             target=_worker_main,
-            args=(child_conn, cell.to_doc(), artifact_dir, list(observe)),
+            args=(child_conn, cell.to_doc(), trace_dir, metrics_dir),
             daemon=True,
         )
         process.start()
@@ -200,8 +200,8 @@ def execute_cells(
     cells: Sequence[Cell],
     jobs: int = 1,
     timeout_s: Optional[float] = None,
-    artifact_dir: Optional[str] = None,
-    observe: Tuple[str, ...] = (),
+    trace_dir: Optional[str] = None,
+    metrics_dir: Optional[str] = None,
     progress: Optional[ProgressFn] = None,
 ) -> List[CellOutcome]:
     """Run every cell, serially (``jobs=1``) or in a process pool.
@@ -210,12 +210,13 @@ def execute_cells(
     regardless of completion order.  ``timeout_s`` bounds each cell's
     wall time in the pool path (a timed-out worker is killed and its
     cell marked failed); the serial path runs in-process and cannot
-    enforce timeouts.
+    enforce timeouts.  ``trace_dir`` / ``metrics_dir`` collect each
+    cell's artifacts (see :func:`~repro.sweep.runner.run_cell`).
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     if not cells:
         return []
     if jobs == 1:
-        return _execute_serial(cells, artifact_dir, observe, progress)
-    return _execute_pool(cells, jobs, timeout_s, artifact_dir, observe, progress)
+        return _execute_serial(cells, trace_dir, metrics_dir, progress)
+    return _execute_pool(cells, jobs, timeout_s, trace_dir, metrics_dir, progress)

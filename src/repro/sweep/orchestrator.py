@@ -1,13 +1,13 @@
 """End-to-end sweep orchestration: plan → execute → checkpoint → merge.
 
-Shared by the ``repro-sweep`` CLI and by ``repro-experiments --jobs``,
-so both entry points get identical semantics: the same checkpoint
-layout, the same resume behavior, and the same merged document.
+The checkpointed path of ``repro-experiments`` (``--out`` or ``--jobs``)
+runs through :func:`run_plan`; ``repro-experiments merge`` through
+:func:`merge_store`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from .checkpoint import CheckpointStore, write_json_atomic
 from .executor import CellOutcome, execute_cells
@@ -37,8 +37,8 @@ def run_plan(
     jobs: int = 1,
     resume: bool = False,
     timeout_s: Optional[float] = None,
-    observe: Tuple[str, ...] = (),
-    confidence: float = 0.95,
+    trace_dir: Optional[str] = None,
+    metrics_dir: Optional[str] = None,
     max_cells: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> SweepRun:
@@ -50,7 +50,8 @@ def run_plan(
     executes (used by tests and the CI kill/resume step to simulate an
     interrupt); when cells remain afterwards no merge is produced.
     Merged output is written to ``<dir>/merged.json`` once every cell of
-    the plan is durable.
+    the plan is durable.  ``trace_dir`` / ``metrics_dir`` collect each
+    executed cell's trace and metrics artifacts.
     """
     store = CheckpointStore(checkpoint_dir)
     plan = store.init(plan, resume=resume)
@@ -68,30 +69,27 @@ def run_plan(
             note = "" if outcome.ok else f"  [{outcome.status}: {outcome.error}]"
             progress(f"[{done}/{total}] {outcome.cell.cell_id}{note}")
 
-    artifact_dir = store.artifact_dir if observe else None
     outcomes = execute_cells(
         pending,
         jobs=jobs,
         timeout_s=timeout_s,
-        artifact_dir=artifact_dir,
-        observe=observe,
+        trace_dir=trace_dir,
+        metrics_dir=metrics_dir,
         progress=on_cell,
     )
     merged: Optional[MergedSweep] = None
     if not store.pending_cells(plan):
-        merged = merge_results(
-            plan.experiment, store.load_results(), confidence=confidence
-        )
-        write_json_atomic(store.merged_path, merged.to_doc())
+        merged = _merge(store, plan)
     return SweepRun(plan, store, tuple(outcomes), merged)
 
 
-def merge_store(checkpoint_dir: str, confidence: float = 0.95) -> MergedSweep:
-    """(Re-)merge whatever is durable in an existing checkpoint."""
-    store = CheckpointStore(checkpoint_dir)
-    plan = store.load_plan()
-    merged = merge_results(
-        plan.experiment, store.load_results(), confidence=confidence
-    )
+def _merge(store: CheckpointStore, plan: SweepPlan) -> MergedSweep:
+    merged = merge_results(plan.experiment, store.load_results())
     write_json_atomic(store.merged_path, merged.to_doc())
     return merged
+
+
+def merge_store(checkpoint_dir: str) -> MergedSweep:
+    """(Re-)merge whatever is durable in an existing checkpoint."""
+    store = CheckpointStore(checkpoint_dir)
+    return _merge(store, store.load_plan())

@@ -182,8 +182,6 @@ def _grid(
             for workload in spec.workloads
             for name in _system_names(spec, workload)
         ]
-    if spec.kind in ("reserved_grid", "chaos"):
-        utils = utils[:1]  # single load point
     axes: List[Dict[str, Any]] = [{}]
     if spec.kind == "rack":
         from ..experiments import rack
@@ -212,20 +210,31 @@ def plan_experiment(
     Cell ordering is deterministic (workload-major, then load point,
     then system, then seed) but carries no meaning: every cell is
     independent and the executor may complete them in any order.
+    ``utilizations`` replaces the declared load grid; a declaration
+    without one (figure 7's phases) refuses it, and a single-point one
+    takes exactly one value.
     """
     if not seeds:
         raise ConfigurationError("need at least one seed")
     if len(set(seeds)) != len(seeds):
         raise ConfigurationError(f"duplicate seeds in {list(seeds)!r}")
     spec = experiment_spec(experiment)
-    n = int(n_requests) if n_requests is not None else spec.n_requests
-    utils = (
-        tuple(float(u) for u in utilizations)
-        if utilizations is not None
-        else spec.utilizations
-    )
     if spec.kind == "selftest":
         raise ConfigurationError(f"experiment {experiment!r} is not plannable")
+    n = int(n_requests) if n_requests is not None else spec.n_requests
+    utils = spec.utilizations
+    if utilizations is not None:
+        utils = tuple(float(u) for u in utilizations)
+        if not spec.utilizations:
+            raise ConfigurationError(
+                f"{experiment} declares no load grid, so it cannot take "
+                "utilizations"
+            )
+        if len(spec.utilizations) == 1 and len(utils) != 1:
+            raise ConfigurationError(
+                f"{experiment} runs one load point; got {len(utils)} "
+                "utilizations"
+            )
     cells = [
         spec.cell(seed, **point)
         for point in _grid(spec, utils, n)

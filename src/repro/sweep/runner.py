@@ -45,22 +45,22 @@ def _summary_metrics(summary) -> Dict[str, float]:
 
 
 def _observers(
-    cell: Cell, artifact_dir: Optional[str], observe: Tuple[str, ...]
+    cell: Cell, trace_dir: Optional[str], metrics_dir: Optional[str]
 ) -> Tuple[Dict[str, Any], Tuple[str, ...]]:
     """The cell's observer keyword arguments (see :mod:`repro.observe`)
-    and the artifacts they write inside ``artifact_dir``."""
-    if artifact_dir is None or not observe:
-        return {}, ()
-    os.makedirs(artifact_dir, exist_ok=True)
+    and the artifacts they write: ``<cell_id>.trace.json`` in
+    ``trace_dir`` and ``<cell_id>.metrics.*`` in ``metrics_dir``."""
     meta = {"cell_id": cell.cell_id, "replicate": cell.replicate}
     observers: Dict[str, Any] = {}
     artifacts = []
-    if "trace" in observe:
-        path = os.path.join(artifact_dir, f"{cell.cell_id}.trace.json")
+    if trace_dir is not None:
+        os.makedirs(trace_dir, exist_ok=True)
+        path = os.path.join(trace_dir, f"{cell.cell_id}.trace.json")
         observers.update(trace_path=path, trace_meta=meta)
         artifacts.append(path)
-    if "metrics" in observe:
-        path = os.path.join(artifact_dir, f"{cell.cell_id}.metrics")
+    if metrics_dir is not None:
+        os.makedirs(metrics_dir, exist_ok=True)
+        path = os.path.join(metrics_dir, f"{cell.cell_id}.metrics")
         observers.update(metrics_path=path, metrics_meta=meta)
         artifacts.append(path)
     return observers, tuple(artifacts)
@@ -154,7 +154,9 @@ def _run_chaos_cell(cell, spec, observers) -> _Outcome:
     workload = params["workload"]
     wspec = spec.spec_for(workload)
     n_requests = params["n_requests"]
-    plan, _crash_at, _recover_at, window_us = chaos.episode_plan(n_requests, wspec)
+    plan, _crash_at, _recover_at, window_us = chaos.episode_plan(
+        n_requests, wspec, params["rho"]
+    )
     res = run_chaos(
         _system(cell, spec, workload),
         wspec,
@@ -259,14 +261,14 @@ def _run_selftest_cell(cell: Cell) -> CellResult:
 
 def run_cell(
     cell: Cell,
-    artifact_dir: Optional[str] = None,
-    observe: Tuple[str, ...] = (),
+    trace_dir: Optional[str] = None,
+    metrics_dir: Optional[str] = None,
 ) -> CellResult:
     """Execute one cell to completion, in the calling process.
 
-    ``observe`` may contain ``"trace"`` and/or ``"metrics"`` to attach
-    the zero-interference observer planes, writing per-cell artifacts
-    under ``artifact_dir``; digests are identical either way.
+    ``trace_dir`` / ``metrics_dir`` attach the zero-interference trace
+    and metrics observers, writing the cell's artifacts there; digests
+    are identical either way.
     """
     spec = experiment_spec(cell.experiment)
     if spec.kind == "selftest":
@@ -276,15 +278,15 @@ def run_cell(
         raise ConfigurationError(
             f"cell {cell.cell_id}: unrunnable experiment kind {spec.kind!r}"
         )
-    observers, artifacts = _observers(cell, artifact_dir, observe)
+    observers, artifacts = _observers(cell, trace_dir, metrics_dir)
     metrics, digest, sim_time_us = runner(cell, spec, observers)
     return CellResult.build(cell, metrics, digest, sim_time_us, artifacts=artifacts)
 
 
 def run_cell_doc(
     doc: Dict[str, Any],
-    artifact_dir: Optional[str] = None,
-    observe: Tuple[str, ...] = (),
+    trace_dir: Optional[str] = None,
+    metrics_dir: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Document-in, document-out variant for process boundaries."""
-    return run_cell(Cell.from_doc(doc), artifact_dir, tuple(observe)).to_doc()
+    return run_cell(Cell.from_doc(doc), trace_dir, metrics_dir).to_doc()

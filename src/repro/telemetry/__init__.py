@@ -6,8 +6,8 @@ The aggregate observability plane: a Prometheus-style metrics registry
 wires both into a run (:mod:`~repro.telemetry.probe`), exporters for
 Prometheus text / JSONL / a static HTML dashboard
 (:mod:`~repro.telemetry.export`), benchmark-artifact aggregation
-(:mod:`~repro.telemetry.bench`) and the ``repro-metrics`` CLI
-(:mod:`~repro.telemetry.cli`).
+(:mod:`~repro.telemetry.bench`), read back by ``repro-observe``
+(:mod:`repro.cli.observe`).
 
 Everything runs on **virtual time** only — the observer-purity rule A301 in
 :mod:`repro.analyze` enforces it statically, and

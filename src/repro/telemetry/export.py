@@ -86,8 +86,8 @@ def parse_prometheus_text(text: str) -> Dict[str, Dict[str, Any]]:
     """Parse exposition text back into ``{family: {kind, help, samples}}``.
 
     ``samples`` maps the full sample name + label text to a float.  Used
-    by the round-trip tests and ``repro-metrics export`` verification;
-    handles exactly the subset :func:`prometheus_text` emits.
+    by the round-trip tests; handles exactly the subset
+    :func:`prometheus_text` emits.
     """
     families: Dict[str, Dict[str, Any]] = {}
     for raw in text.splitlines():

@@ -8,7 +8,7 @@ samples, are recorded against monotonic simulated time.  Export with
 :func:`write_trace` (Perfetto-loadable JSON + lossless native layer) or
 :func:`spans_to_csv`; analyze with :class:`LatencyBreakdown`
 (percentile → per-stage attribution) and :class:`TailMonitor`
-(streaming P² tail estimates).  The ``repro-trace`` CLI summarizes,
+(streaming P² tail estimates).  ``repro-observe`` summarizes,
 converts and validates trace files.
 """
 

@@ -127,7 +127,7 @@ class LatencyBreakdown:
         """Assert the stage partition: every type's tail-request stages
         sum to its measured latency within ``atol``.  Raises
         :class:`TraceError` on the first mismatch — used by tests and
-        the ``repro-trace`` CLI's summary path."""
+        ``repro-observe breakdown``."""
         for tid, bd in self.per_type.items():
             total = sum(bd.tail_stages[k] for k in STAGE_KEYS)
             latency = bd.tail_span.latency

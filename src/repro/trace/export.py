@@ -9,7 +9,7 @@ One trace file carries two layers:
   slices per request type, scheduler decisions as instant events, and
   the periodic samples as counter tracks.
 * ``repro`` — the lossless native section (versioned): every span,
-  decision and sample, plus the Recorder's ledger, so ``repro-trace``
+  decision and sample, plus the Recorder's ledger, so ``repro-observe``
   can re-derive breakdowns and reconciliations from the file alone.
 
 Perfetto ignores unknown top-level keys, so a single file serves both

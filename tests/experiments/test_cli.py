@@ -10,7 +10,7 @@ class TestParser:
         parser = build_parser()
         args = parser.parse_args(["tables"])
         assert args.experiment == "tables"
-        assert args.n_requests == 40_000
+        assert args.n_requests is None
 
     def test_quick_flag(self):
         args = build_parser().parse_args(["figure1", "--quick"])
@@ -98,25 +98,29 @@ class TestSeedsAndJobs:
     def test_jobs_delegates_to_sweep_orchestrator(
         self, capsys, monkeypatch, tmp_path
     ):
+        import tempfile
+
         import repro.cli as cli
 
+        # Without --out, --jobs checkpoints into a fresh temporary
+        # directory and prints how to resume it.
         monkeypatch.setattr(cli, "QUICK_N", 300)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         assert main(
-            [
-                "figure3", "--quick", "--jobs", "2", "--seeds", "1",
-                "--sweep-dir", str(tmp_path / "ckpt"),
-            ]
+            ["figure3", "--quick", "--jobs", "2", "--seeds", "1"]
         ) == 0
         out = capsys.readouterr().out
         assert "pooling" in out
-        assert "repro-sweep run" in out
-        assert (tmp_path / "ckpt" / "merged.json").exists()
+        assert "repro-experiments figure3 --seeds 1 --quick" in out
+        assert "--resume --out" in out
+        (ckpt,) = tmp_path.iterdir()
+        assert (ckpt / "merged.json").exists()
 
     def test_jobs_without_seeds_exits_2(self, capsys, tmp_path):
         # Pooled cells always run derived seeds; the raw --seed of an
         # in-process run has no pooled equivalent, so refuse to guess.
         assert main(
-            ["figure3", "--quick", "--jobs", "2", "--sweep-dir", str(tmp_path)]
+            ["figure3", "--quick", "--jobs", "2", "--out", str(tmp_path)]
         ) == 2
         assert "--seeds" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())

@@ -141,7 +141,7 @@ class TestSweepDriver:
         replicates = result.replicates[system.name]
         assert sorted(replicates) == [1, 2]
         # Each replicate must have run under its cell's seed — the one a
-        # pooled repro-sweep cell of this grid point gets.
+        # checkpointed cell of this grid point gets.
         for replicate, (run,) in replicates.items():
             cell = figure3.EXPERIMENT.cell(
                 replicate, system=system.name, workload="high_bimodal",

@@ -5,8 +5,9 @@ The rack driver once accepted ``trace_dir`` and dropped it on the
 floor; a user asking for traces got an empty directory and no hint.
 This suite closes that class of bug structurally: every driver behind
 ``repro-experiments`` must either thread all three artifact directories
-into its runs or raise :class:`~repro.errors.UsageError` the moment one
-is passed.
+(and ``--utilizations``) into its runs or raise
+:class:`~repro.errors.UsageError` the moment one is passed.  The
+checkpointed path (``--out``/``--jobs``) is held to the same rule.
 """
 
 import importlib
@@ -42,6 +43,11 @@ class TestDriverSignatures:
         for p in ARTIFACT_PARAMS:
             assert params[p].default is None
 
+    @pytest.mark.parametrize("name", SIMULATING)
+    def test_every_simulating_driver_accepts_utilizations(self, name):
+        params = inspect.signature(driver_module(name).run).parameters
+        assert params["utilizations"].default is None
+
 
 class TestTablesRefusesArtifacts:
     @pytest.mark.parametrize(
@@ -60,6 +66,10 @@ class TestTablesRefusesArtifacts:
         args.update(kwargs)
         with pytest.raises(UsageError, match=flag):
             _tables_run(**args)
+
+    def test_utilizations_is_a_usage_error(self):
+        with pytest.raises(UsageError, match="--utilizations"):
+            _tables_run(100, 1, False, None, None, None, None, [0.5])
 
     def test_without_artifacts_tables_run_is_a_noop(self):
         assert _tables_run(100, 1, False, None, None, None, None) is None
@@ -116,3 +126,122 @@ class TestForensicsEndToEnd:
         assert len(run_ids) == len(list(trace_dir.glob("*.trace.json")))
         record = registry.load(run_ids[0])
         assert record["digests"]["reconciliation_ok"] is True
+
+
+class TestUtilizationsFlag:
+    def test_figure7_refuses_it(self, capsys):
+        assert main(["figure7", "--utilizations", "0.33"]) == 2
+        err = capsys.readouterr().err
+        assert "--utilizations" in err and "figure7" in err
+
+    def test_single_point_driver_refuses_several(self, capsys):
+        assert main(["chaos", "--quick", "--utilizations", "0.5,0.6"]) == 2
+        assert "one load point" in capsys.readouterr().err
+
+    def test_chaos_episode_follows_the_load(self):
+        from repro.experiments import chaos
+
+        _, crash, recover, window = chaos.episode_plan(1000, None, 0.7)
+        _, crash_half, recover_half, window_half = chaos.episode_plan(
+            1000, None, 0.35
+        )
+        assert crash_half == pytest.approx(2 * crash)
+        assert recover_half == pytest.approx(2 * recover)
+        assert window_half == pytest.approx(2 * window)
+
+    def test_load_sweep_honors_it(self, capsys):
+        assert main(
+            ["figure9", "--n-requests", "300", "--utilizations", "0.35,0.55"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "0.35" in out and "0.55" in out and "0.95" not in out
+
+    def test_checkpointed_figure7_refuses_it(self, capsys, tmp_path):
+        assert main(
+            ["figure7", "--seeds", "1", "--utilizations", "0.33",
+             "--out", str(tmp_path / "ckpt")]
+        ) == 2
+        assert "no load grid" in capsys.readouterr().err
+        assert not (tmp_path / "ckpt").exists()
+
+
+class TestDeclaredRequestCounts:
+    def test_each_experiment_runs_its_declared_n(self, monkeypatch, capsys):
+        import repro.cli as cli
+
+        seen = {}
+        for name in SIMULATING:
+            module = driver_module(name)
+
+            def fake_run(_name=name, **kwargs):
+                seen[_name] = kwargs.get("n_requests")
+
+            monkeypatch.setattr(module, "run", fake_run)
+            run, _render = cli.EXPERIMENTS[name]
+            monkeypatch.setitem(cli.EXPERIMENTS, name, (run, lambda r: ""))
+        for name in SIMULATING:
+            assert main([name]) == 0
+        declared = {
+            name: driver_module(name).EXPERIMENT.n_requests
+            for name in SIMULATING
+            if name != "figure7"
+        }
+        assert {k: v for k, v in seen.items() if k != "figure7"} == declared
+        assert declared["rack"] == declared["chaos"] == 20_000
+        assert declared["figure5"] == 60_000 and declared["figure9"] == 50_000
+        # Figure 7 runs fixed-length phases: it takes no request count.
+        assert seen["figure7"] is None
+
+
+#: A small checkpointed grid: one load point, two replicate seeds.
+POOLED = [
+    "figure3", "--n-requests", "300", "--utilizations", "0.5",
+    "--seeds", "1,2", "--jobs", "2",
+]
+
+
+class TestCheckpointedFlags:
+    """The checkpointed path honors --trace/--metrics per cell and
+    refuses the run flags it cannot honor, naming the flag."""
+
+    @pytest.mark.parametrize("flag", ["--trace", "--metrics"])
+    def test_artifact_dirs_are_honored_per_cell(self, flag, tmp_path, capsys):
+        artifacts = tmp_path / "artifacts"
+        assert main(
+            POOLED + ["--out", str(tmp_path / "ckpt"), flag, str(artifacts)]
+        ) == 0
+        cells = list((tmp_path / "ckpt" / "cells").glob("*.json"))
+        suffix = ".trace.json" if flag == "--trace" else ".metrics.jsonl"
+        written = list(artifacts.glob("*" + suffix))
+        assert cells and len(written) == len(cells)
+
+    @pytest.mark.parametrize(
+        "flag,extra",
+        [
+            ("--csv", ["--csv", "CSV"]),
+            ("--forensics", ["--trace", "T", "--forensics", "F"]),
+            ("--sanitize", ["--sanitize"]),
+            ("--shadow", ["--shadow"]),
+        ],
+    )
+    def test_unhonored_flags_exit_2(self, flag, extra, tmp_path, capsys,
+                                    monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(POOLED + ["--out", "ckpt"] + extra) == 2
+        assert flag in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_all_checkpoints_each_experiment_apart(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        import repro.cli as cli
+
+        for name in set(EXPERIMENTS) - {"figure3", "figure9", "tables"}:
+            monkeypatch.delitem(cli.EXPERIMENTS, name)
+        out = tmp_path / "ckpt"
+        assert main(
+            ["all", "--n-requests", "200", "--seeds", "1", "--jobs", "2",
+             "--out", str(out)]
+        ) == 0
+        assert (out / "figure3" / "merged.json").exists()
+        assert (out / "figure9" / "merged.json").exists()

@@ -60,6 +60,17 @@ class TestFigureResult:
         assert "ratio = 2.50" in text
         assert "note = 7" in text
 
+    def test_figure5_loads_have_distinct_labels(self):
+        from repro.experiments import figure5
+
+        loads = figure5.EXPERIMENT.utilizations
+        result = FigureResult("Figure 5", loads)
+        result.add_sweep("A", [FakeResult(rho, 1.0) for rho in loads])
+        rows = result.render_metric(metric, "x").splitlines()[3:]
+        labels = [row.split()[0] for row in rows]
+        assert labels == [f"{rho:.2f}" for rho in loads]
+        assert len(set(labels)) == len(loads) == 7
+
     def test_uneven_sweep_lengths_render(self):
         result = FigureResult("F", [0.2, 0.5])
         result.add_sweep("short", [FakeResult(0.2, 1.0)])

@@ -1,11 +1,12 @@
-"""``repro-forensics`` CLI behavior and the observatory HTML report."""
+"""``repro-observe`` forensics subcommands and the observatory HTML
+report."""
 
 import json
 import os
 
 import pytest
 
-from repro.forensics.cli import main
+from repro.cli.observe import main
 from repro.forensics.collect import collect_directory
 from repro.forensics.report import write_report
 
@@ -32,7 +33,7 @@ class TestBlameCommand:
 
     def test_missing_trace_exits_2(self, tmp_path, capsys):
         assert main(["blame", str(tmp_path / "nope.trace.json")]) == 2
-        assert "repro-forensics:" in capsys.readouterr().err
+        assert "error:" in capsys.readouterr().err
 
 
 class TestHerdingCommand:
@@ -82,6 +83,11 @@ class TestReport:
         html = open(out_path).read()
         assert "Blame matrix" in html
         assert "forensics-test" in html
+
+    def test_unwritable_output_exits_2(self, store, tmp_path, capsys):
+        out_path = str(tmp_path / "nodir" / "observatory.html")
+        assert main(["report", store, "-o", out_path]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_bench_glob_section(self, store, tmp_path):
         bench = tmp_path / "BENCH_unit.json"

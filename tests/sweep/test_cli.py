@@ -1,11 +1,12 @@
-"""repro-sweep CLI: plan/run/status/merge end to end, exit codes."""
+"""Checkpointed ``repro-experiments`` runs: plan, run (``--out``),
+resume, status and merge end to end, exit codes."""
 
 import json
 import os
 
 import pytest
 
-from repro.sweep import cli
+from repro import cli
 
 # The smallest real grid: one load point, both bimodal workloads,
 # three systems each.
@@ -58,13 +59,13 @@ class TestPlan:
     def test_run_without_resume_refuses_planned_dir(self, tmp_path, capsys):
         out = str(tmp_path / "sweep")
         assert _run(["plan", *GRID, "--out", out]) == 0
-        assert _run(["run", *GRID, "--out", out]) == 2
+        assert _run([*GRID, "--seeds", "1", "--out", out]) == 2
 
 
 class TestRunStatusMerge:
     def test_full_cycle_with_interrupt_and_resume(self, tmp_path, capsys):
         out = str(tmp_path / "sweep")
-        base = ["run", *GRID, "--out", out, "--quiet"]
+        base = [*GRID, "--seeds", "1", "--out", out]
 
         # "Interrupted" first invocation: only 2 of 6 cells run.
         assert _run(base + ["--max-cells", "2"]) == 1
@@ -86,10 +87,10 @@ class TestRunStatusMerge:
 
     def test_resumed_digests_match_uninterrupted(self, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
-        base = ["run", *GRID, "--out"]
-        assert _run(base + [a, "--quiet"]) == 0
-        assert _run(base + [b, "--quiet", "--max-cells", "3"]) == 1
-        assert _run(base + [b, "--quiet", "--resume"]) == 0
+        base = [*GRID, "--seeds", "1", "--out"]
+        assert _run(base + [a]) == 0
+        assert _run(base + [b, "--max-cells", "3"]) == 1
+        assert _run(base + [b, "--resume"]) == 0
         digests_a = _digests(a)
         digests_b = _digests(b)
         assert digests_a == digests_b
@@ -99,9 +100,9 @@ class TestRunStatusMerge:
         out = str(tmp_path / "sweep")
         code = _run(
             [
-                "run", "figure5", "--n-requests", "200",
+                "figure5", "--n-requests", "200",
                 "--utilizations", "0.5", "--seeds", "1,2,3",
-                "--out", out, "--quiet",
+                "--out", out,
             ]
         )
         assert code == 0

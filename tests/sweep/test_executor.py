@@ -93,7 +93,7 @@ class TestObservedCells:
         from repro.telemetry.export import read_metrics
 
         cell = plan_experiment("chaos", seeds=(1,), n_requests=1500).cells[0]
-        observed = run_cell(cell, str(tmp_path), ("trace", "metrics"))
+        observed = run_cell(cell, trace_dir=str(tmp_path), metrics_dir=str(tmp_path))
         assert observed.digest == run_cell(cell).digest
         trace_path, metrics_path = observed.artifacts
         with open(trace_path) as fp:

@@ -98,6 +98,16 @@ class TestPlanExperiment:
         for cell in plan.cells:
             assert cell.params_dict["rho"] == chaos.UTILIZATION
 
+    def test_utilizations_refused_without_load_grid(self):
+        with pytest.raises(ConfigurationError, match="no load grid"):
+            plan_experiment("figure7", utilizations=(0.33,))
+
+    def test_single_point_takes_one_utilization(self):
+        plan = plan_experiment("chaos", n_requests=3000, utilizations=(0.5,))
+        assert {cell.params_dict["rho"] for cell in plan.cells} == {0.5}
+        with pytest.raises(ConfigurationError, match="one load point"):
+            plan_experiment("figure4", utilizations=(0.5, 0.9))
+
     def test_no_seeds_rejected(self):
         with pytest.raises(ConfigurationError, match="at least one seed"):
             plan_experiment("figure5", seeds=())

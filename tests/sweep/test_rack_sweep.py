@@ -88,14 +88,14 @@ class TestRunner:
         import json
 
         from repro.telemetry.export import read_metrics
-        from repro.trace.cli import main as trace_main
+        from repro.cli.observe import main as observe_main
 
         cell = rack_cell(n_requests=600)
-        observed = run_cell(cell, str(tmp_path), ("trace", "metrics"))
+        observed = run_cell(cell, trace_dir=str(tmp_path), metrics_dir=str(tmp_path))
         assert observed.digest == cell_result.digest
         trace_path, metrics_path = observed.artifacts
         assert trace_path.endswith(".trace.json")
-        assert trace_main(["validate", trace_path]) == 0
+        assert observe_main(["validate", trace_path]) == 0
         for suffix in (".prom", ".jsonl", ".html"):
             assert (tmp_path / (cell.cell_id + ".metrics" + suffix)).stat().st_size > 0
         expected = {"cell_id": cell.cell_id, "replicate": cell.replicate}

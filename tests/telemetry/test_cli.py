@@ -1,5 +1,5 @@
-"""``repro-metrics`` CLI: every subcommand end-to-end on real smoke
-runs, plus failure-path exit codes."""
+"""``repro-observe`` over metrics: every metrics subcommand end-to-end
+on real smoke runs, plus failure-path exit codes."""
 
 import json
 
@@ -7,9 +7,9 @@ import pytest
 
 from repro.experiments.common import run_once
 from repro.systems.persephone import PersephoneSystem
+from repro.cli.observe import main
 from repro.telemetry import TelemetryProbe
-from repro.telemetry.cli import main
-from repro.telemetry.export import prometheus_text, write_metrics
+from repro.telemetry.export import write_metrics
 from repro.workload.presets import high_bimodal
 
 
@@ -55,25 +55,6 @@ class TestSummary:
         out = capsys.readouterr().out
         assert "repro_workers_busy" in out
         assert "repro_queue_depth" not in out
-
-
-class TestExport:
-    def test_reexport_matches_original_prom(self, smoke_run, tmp_path, capsys):
-        probe, paths = smoke_run
-        out = tmp_path / "again.prom"
-        assert main(["export", paths["jsonl"], str(out)]) == 0
-        assert out.read_text() == prometheus_text(probe.registry)
-        assert "wrote" in capsys.readouterr().out
-
-
-class TestDashboard:
-    def test_rerender_is_static_html(self, smoke_run, tmp_path):
-        _, paths = smoke_run
-        out = tmp_path / "again.html"
-        assert main(["dashboard", paths["jsonl"], str(out)]) == 0
-        html = out.read_text()
-        assert html.lstrip().startswith("<!DOCTYPE html>")
-        assert "<script" not in html
 
 
 class TestCompare:
@@ -151,6 +132,12 @@ class TestFailurePaths:
     def test_missing_metrics_file_exits_2(self, tmp_path, capsys):
         assert main(["summary", str(tmp_path / "nope.jsonl")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_bench_to_unwritable_out_exits_2(self, tmp_path, capsys):
+        TestBench()._perf_artifact(tmp_path)
+        out = tmp_path / "nodir" / "BENCH_summary.json"
+        assert main(["bench", "--root", str(tmp_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_bench_without_artifacts_exits_2(self, tmp_path, capsys):
         assert main(["bench", "--root", str(tmp_path)]) == 2

@@ -42,6 +42,23 @@ class TestSurface:
     def test_version(self):
         assert repro.__version__ == "1.0.0"
 
+    def test_console_scripts_resolve(self):
+        import importlib
+        import os
+        import re
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml")) as fp:
+            text = fp.read()
+        section = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+        scripts = dict(re.findall(r'^([\w-]+) = "([\w.:]+)"$', section, re.M))
+        assert sorted(scripts) == [
+            "repro-analyze", "repro-experiments", "repro-observe",
+        ]
+        for target in scripts.values():
+            module, attr = target.split(":")
+            assert callable(getattr(importlib.import_module(module), attr))
+
     def test_subpackages_importable(self):
         import repro.analysis
         import repro.apps

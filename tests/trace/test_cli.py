@@ -1,26 +1,31 @@
-"""``repro-trace`` CLI: every subcommand end-to-end on a real smoke
-trace, plus failure-path exit codes."""
+"""``repro-observe`` over a trace: every trace subcommand end-to-end on
+a real Perséphone trace, plus failure-path exit codes."""
 
 import json
 
 import pytest
 
-from repro.trace.cli import main
+from repro.cli.observe import main
+from repro.experiments.common import run_once
+from repro.systems.persephone import PersephoneSystem
+from repro.workload.presets import high_bimodal
 
 
 @pytest.fixture(scope="module")
 def smoke_trace(tmp_path_factory):
     path = tmp_path_factory.mktemp("trace") / "smoke.trace.json"
-    assert main(["smoke", "--out", str(path), "--n-requests", "3000"]) == 0
+    run_once(
+        PersephoneSystem(n_workers=14, name="Persephone"),
+        high_bimodal(),
+        0.95,
+        n_requests=3000,
+        seed=1,
+        trace_path=str(path),
+    )
     return path
 
 
 class TestSubcommands:
-    def test_smoke_writes_perfetto_loadable_json(self, smoke_trace):
-        doc = json.loads(smoke_trace.read_text())
-        assert isinstance(doc["traceEvents"], list) and doc["traceEvents"]
-        assert doc["repro"]["version"] == 1
-
     def test_validate_passes_on_smoke_trace(self, smoke_trace, capsys):
         assert main(["validate", str(smoke_trace)]) == 0
         assert "OK" in capsys.readouterr().out
@@ -69,3 +74,14 @@ class TestFailurePaths:
         path.write_text(json.dumps({"traceEvents": [], "repro": {"version": 1}}))
         assert main(["breakdown", str(path)]) == 1
         assert "no completed spans" in capsys.readouterr().out
+
+    def test_convert_to_unwritable_path_exits_2(self, smoke_trace, tmp_path,
+                                                capsys):
+        out_path = tmp_path / "nodir" / "spans.csv"
+        assert main(["convert", str(smoke_trace), str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_summary_family_on_a_trace_exits_2(self, smoke_trace, capsys):
+        assert main(["summary", str(smoke_trace), "--family", "x"]) == 2
+        assert "--family" in capsys.readouterr().err
